@@ -25,11 +25,9 @@ from .corpus import (
     CorpusEntry,
     IoDecl,
     IoSpec,
-    ValidationReport,
     load_corpus,
     normalize_label,
     save_corpus,
-    validate_entry,
 )
 from .graph import (
     CALL,
@@ -55,7 +53,6 @@ from .parser import (
     FunctionDef,
     TraceFragment,
     build_trace_fragment,
-    extract_calls,
     extract_functions,
 )
 from .retriever import (
@@ -64,7 +61,6 @@ from .retriever import (
     RetrievalResult,
     find_paths,
     retrieve,
-    retrieved_kc_count,
     retrieved_kc_names,
 )
 from .tagger import TagSet, TagVocabulary, build_vocabulary, extract_tags, load_aliases

@@ -11,19 +11,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import baselines, context, corpus, graph as graphmod, retriever, tagger
 from .errors import SgkrError
-from .parser import build_trace_fragment, extract_functions
 
 CONFIG_ENV_VAR = "SGKR_CONFIG"
-
-_CONFIG_FIELDS = {
-    "manifest", "graph", "max_depth", "max_paths", "aliases",
-    "k", "scorer", "vectors", "gold", "methods",
-}
 
 
 @dataclass
@@ -34,7 +29,6 @@ class Config:
     max_paths: int = 64
     aliases: str | None = None
     k: int = 5
-    scorer: str = "lexical"
     vectors: str | None = None
     gold: str | None = None
     methods: str = "sgkr,lexical"
@@ -45,22 +39,32 @@ def _load_config() -> Config:
     config_path = os.environ.get(CONFIG_ENV_VAR)
     if not config_path:
         return config
-    raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SgkrError(f"config file {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SgkrError(f"config file {config_path} must contain a JSON object")
-    unknown = set(raw) - _CONFIG_FIELDS
+    types = get_type_hints(Config)
+    unknown = set(raw) - set(types)
     if unknown:
         raise SgkrError(f"config file {config_path}: unknown fields {sorted(unknown)}")
     for key, value in raw.items():
+        expected = types[key]
+        # bool is a subclass of int, but `true` is no depth or budget.
+        if isinstance(value, bool) or not isinstance(value, expected):
+            expected_name = getattr(expected, "__name__", str(expected))
+            raise SgkrError(f"config file {config_path}: field {key!r} must be {expected_name}, "
+                            f"not {json.dumps(value)}")
         setattr(config, key, value)
     return config
 
 
 def _merge(config: Config, args: argparse.Namespace) -> Config:
-    for field_name in _CONFIG_FIELDS:
-        value = getattr(args, field_name, None)
+    for field in fields(Config):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(config, field_name, value)
+            setattr(config, field.name, value)
     return config
 
 
@@ -87,35 +91,17 @@ def _limits(config: Config) -> retriever.RetrievalLimits:
 def cmd_build(config: Config, out) -> int:
     if not config.manifest:
         raise SgkrError("no manifest given (--manifest)")
-    loaded = corpus.load_corpus(config.manifest)
-    fragments: list = [None] * len(loaded.entries)
-    reports = []
-    for i, entry in enumerate(loaded.entries):
-        parsed = {fn.name for fn in extract_functions(entry.source_text)}
-        report = corpus.validate_entry(entry, parsed)
-        if not report.ok:
-            reports.append(report)
-        fragments[i] = build_trace_fragment(entry)
-    for report in reports:
-        for name in report.missing_functions:
-            print(f"warning: entry {report.entry_id}: knowledge for unknown function {name!r}",
-                  file=sys.stderr)
-        for label in report.empty_labels:
-            print(f"warning: entry {report.entry_id}: empty io label", file=sys.stderr)
-
-    raw = graphmod.assemble_raw_graph(fragments, loaded)
-    merged = graphmod.merge_identical(raw)
-    built = graphmod.insert_io_nodes(merged, [entry.io_spec for entry in loaded.entries])
+    if not config.graph:
+        raise SgkrError("no output path given (--graph)")
+    built = graphmod.build_graph(corpus.load_corpus(config.manifest))
     report = graphmod.validate_graph(built)
     for violation in report.violations:
         print(f"warning: {violation}", file=sys.stderr)
+    Path(config.graph).write_text(graphmod.serialize(built), encoding="utf-8")
 
-    document = graphmod.serialize(built)
-    if not config.graph:
-        raise SgkrError("no output path given (--graph)")
-    Path(config.graph).write_text(document, encoding="utf-8")
-
-    merged_away = len(raw.kc_nodes) - len(built.kc_nodes)
+    # Each merged node absorbed one pre-merge node per extra origin entry.
+    merged_away = sum(len(node.origin_entries) for node in built.kc_nodes.values()) \
+        - len(built.kc_nodes)
     print(f"built graph: {len(built.kc_nodes)} kc-nodes, {len(built.io_nodes)} io-nodes, "
           f"{len(built.edges)} edges; duplicate nodes merged: {merged_away}", file=out)
     print(f"call cycles: {len(report.cycles)}", file=out)
@@ -137,7 +123,7 @@ def cmd_query(config: Config, question: str, output_format: str, out) -> int:
         payload["fallback"] = result.fallback
         payload["inputs"] = sorted(tagset.inputs)
         payload["outputs"] = sorted(tagset.outputs)
-        payload["retrieved_kc_count"] = retriever.retrieved_kc_count(result, g)
+        payload["retrieved_kc_count"] = len(retriever.retrieved_kc_names(result, g))
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
 
@@ -255,7 +241,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gold", help="gold annotation file")
     p_eval.add_argument("--methods", help="comma-separated: sgkr, lexical, vectors")
     p_eval.add_argument("--k", type=int, help="baseline retrieval budget")
-    p_eval.add_argument("--scorer", choices=("lexical", "vectors"), help="default baseline scorer")
     p_eval.add_argument("--vectors", help="vector file for the vectors scorer")
 
     p_inspect = sub.add_parser("inspect", help="list a graph document's contents")
@@ -275,8 +260,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "query":
             return cmd_query(config, args.question, args.format, sys.stdout)
         if args.command == "eval":
-            if args.methods is None and args.scorer is not None:
-                config.methods = f"sgkr,{args.scorer}"
             return cmd_eval(config, args.format, sys.stdout)
         if args.command == "inspect":
             return cmd_inspect(config, args.dot, args.format, sys.stdout)

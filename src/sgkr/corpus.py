@@ -65,19 +65,6 @@ class Corpus:
     entries: tuple[CorpusEntry, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validating one entry against its parsed functions."""
-
-    entry_id: str
-    missing_functions: tuple[str, ...]
-    empty_labels: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing_functions and not self.empty_labels
-
-
 _ENTRY_FIELDS = {"id", "source", "inputs", "outputs", "knowledge"}
 _MANIFEST_FIELDS = {"corpus_name", "version", "entries"}
 _IO_FIELDS = {"label", "anchor"}
@@ -192,15 +179,3 @@ def save_corpus(corpus: Corpus, directory: str | Path, manifest_name: str = "man
     manifest_path = directory / manifest_name
     manifest_path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     return manifest_path
-
-
-def validate_entry(entry: CorpusEntry, parsed_functions: set[str]) -> ValidationReport:
-    """Check an entry's annotations against the function names actually
-    found in its source. Pure reporting; never raises."""
-    missing = tuple(name for name in entry.knowledge_map if name not in parsed_functions)
-    empty = tuple(
-        decl.label
-        for decl in (*entry.io_spec.inputs, *entry.io_spec.outputs)
-        if not normalize_label(decl.label)
-    )
-    return ValidationReport(entry_id=entry.entry_id, missing_functions=missing, empty_labels=empty)

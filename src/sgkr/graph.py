@@ -10,6 +10,7 @@ against and what gets persisted.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
@@ -105,8 +106,10 @@ class DependencyGraph:
 
 @dataclass(frozen=True)
 class GraphReport:
-    """Validation outcome: invariant violations plus every CALL cycle,
-    each cycle written as a node sequence closing on its first node."""
+    """Validation outcome: invariant violations plus one witness CALL
+    cycle per strongly connected component that has a cycle, sorted. Each
+    witness starts at its component's smallest node id and is written as
+    a node sequence closing on that node."""
 
     violations: tuple[str, ...]
     cycles: tuple[tuple[str, ...], ...]
@@ -245,32 +248,79 @@ def build_graph(corpus: Corpus) -> DependencyGraph:
 
 
 def _call_cycles(graph: DependencyGraph) -> list[tuple[str, ...]]:
-    """Every simple CALL cycle, found by rooting each cycle at its
-    smallest node id so each is reported exactly once."""
-    adjacency: dict[str, list[str]] = {nid: [] for nid in graph.kc_nodes}
+    """One witness cycle per strongly connected component of the CALL
+    subgraph that contains a cycle (two or more nodes, or one node calling
+    itself), sorted. The components come from an iterative Tarjan pass,
+    linear in the graph; each witness is a shortest cycle through the
+    component's smallest node id (successors sorted), so it is one of the
+    graph's simple cycles and does not depend on set or dict order."""
+    successors: dict[str, set[str]] = {nid: set() for nid in graph.kc_nodes}
     for edge in graph.edges:
-        if edge.type == CALL and edge.src in adjacency and edge.dst in adjacency:
-            adjacency[edge.src].append(edge.dst)
-    for nid in adjacency:
-        adjacency[nid] = sorted(set(adjacency[nid]))
+        if edge.type == CALL and edge.src in successors and edge.dst in successors:
+            successors[edge.src].add(edge.dst)
 
+    # A node whose component is complete gets an index past every live
+    # one, so it can no longer lower `low` and needs no on-stack flag.
+    done = len(successors)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
     cycles: list[tuple[str, ...]] = []
+    for start in successors:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        work = [(start, iter(successors[start]))]
+        while work:
+            node, pending = work[-1]
+            for nxt in pending:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    work.append((nxt, iter(successors[nxt])))
+                    break
+                low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == index[node]:
+                    component: set[str] = set()
+                    while node not in component:
+                        component.add(stack.pop())
+                    for member in component:
+                        index[member] = done
+                    if len(component) > 1 or node in successors[node]:
+                        cycles.append(_shortest_cycle(min(component), component, successors))
+    return sorted(cycles)
 
-    def explore(root: str, node: str, path: list[str], visited: set[str]) -> None:
-        for successor in adjacency[node]:
-            if successor == root:
-                cycles.append(tuple(path + [root]))
-            elif successor > root and successor not in visited:
-                explore(root, successor, path + [successor], visited | {successor})
 
-    for root in sorted(adjacency):
-        explore(root, root, [root], {root})
-    return cycles
+def _shortest_cycle(root: str, component: set[str],
+                    successors: dict[str, set[str]]) -> tuple[str, ...]:
+    """Breadth-first search over sorted successors inside `component`
+    for the shortest way back to `root`, which lies on a cycle there."""
+    parent: dict[str, str] = {}
+    queue = deque([root])
+    while True:
+        node = queue.popleft()
+        for nxt in sorted(successors[node] & component):
+            if nxt == root:
+                path = [root]
+                while node != root:
+                    path.append(node)
+                    node = parent[node]
+                return (root,) + tuple(reversed(path))
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
 
 
 def validate_graph(graph: DependencyGraph) -> GraphReport:
-    """Check structural invariants and enumerate CALL cycles. An empty
-    report means the graph is a well-formed DAG over its CALL edges."""
+    """Check structural invariants and find the cyclic strongly connected
+    components of the CALL edges, one witness cycle each, in one linear
+    pass. An empty report means the graph is a well-formed DAG over its
+    CALL edges."""
     violations: list[str] = []
 
     names_seen: dict[str, str] = {}
@@ -354,22 +404,28 @@ def serialize(graph: DependencyGraph) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-_KC_FIELDS = {"node_id", "function_name", "code", "knowledge", "origin_entries", "variants"}
-_IO_NODE_FIELDS = {"node_id", "label", "kind"}
-_EDGE_FIELDS = {"src", "dst", "type"}
-_DOC_FIELDS = {"format_version", "kc_nodes", "io_nodes", "edges"}
+# Each record's fields and their JSON types.
+_KC_FIELDS = {"node_id": str, "function_name": str, "code": str, "knowledge": str,
+              "origin_entries": list, "variants": list}
+_IO_NODE_FIELDS = {"node_id": str, "label": str, "kind": str}
+_EDGE_FIELDS = {"src": str, "dst": str, "type": str}
+_DOC_FIELDS = {"format_version": object, "kc_nodes": list, "io_nodes": list, "edges": list}
 
 
-def _check_fields(record: object, expected: set[str], where: str) -> dict:
+def _check_fields(record: object, expected: dict[str, type], where: str) -> dict:
     if not isinstance(record, dict):
         raise SchemaViolation(f"{where}: expected an object")
-    if set(record) != expected:
+    if record.keys() != expected.keys():
         raise SchemaViolation(f"{where}: fields {sorted(record)} != {sorted(expected)}")
+    for name, kind in expected.items():
+        if not isinstance(record[name], kind):
+            raise SchemaViolation(f"{where}: {name!r} must be a {kind.__name__}")
     return record
 
 
 def deserialize(document: str) -> DependencyGraph:
-    """Parse a graph document produced by `serialize`."""
+    """Parse a graph document produced by `serialize`. Raises
+    SchemaViolation on a missing, unknown or wrongly typed field."""
     try:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -383,6 +439,8 @@ def deserialize(document: str) -> DependencyGraph:
     graph = DependencyGraph()
     for i, record in enumerate(raw["kc_nodes"]):
         record = _check_fields(record, _KC_FIELDS, f"kc_nodes[{i}]")
+        if not all(isinstance(text, str) for text in record["origin_entries"] + record["variants"]):
+            raise SchemaViolation(f"kc_nodes[{i}]: origin_entries and variants must hold strings")
         graph.add_kc_node(KnowledgeCodeNode(
             node_id=record["node_id"],
             function_name=record["function_name"],
@@ -396,13 +454,15 @@ def deserialize(document: str) -> DependencyGraph:
         if record["kind"] not in (INPUT, OUTPUT):
             raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
         graph.add_io_node(IoNode(**record))
+    known = graph.kc_nodes.keys() | graph.io_nodes.keys()
     for i, record in enumerate(raw["edges"]):
         record = _check_fields(record, _EDGE_FIELDS, f"edges[{i}]")
-        if record["type"] not in EDGE_TYPES:
-            raise SchemaViolation(f"edges[{i}]: bad type {record['type']!r}")
-        if not graph.has_node(record["src"]) or not graph.has_node(record["dst"]):
+        edge = Edge(record["src"], record["dst"], record["type"])
+        if edge.type not in EDGE_TYPES:
+            raise SchemaViolation(f"edges[{i}]: bad type {edge.type!r}")
+        if edge.src not in known or edge.dst not in known:
             raise SchemaViolation(f"edges[{i}]: dangling endpoint")
-        graph.add_edge(record["src"], record["dst"], record["type"])
+        graph.edges.add(edge)
     return graph
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import CorpusEntry, IoSpec
+from .corpus import CorpusEntry
 from .errors import ParseError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -61,7 +61,6 @@ class TraceFragment:
     entry_id: str
     functions: tuple[FunctionDef, ...]
     call_edges: tuple[tuple[str, str], ...]
-    io_spec: IoSpec
 
 
 def _line_starts(source_text: str) -> list[int]:
@@ -201,12 +200,6 @@ def extract_functions(source_text: str) -> list[FunctionDef]:
     return result
 
 
-def extract_calls(fn: FunctionDef, defined_names: set[str]) -> list[str]:
-    """Restrict a function's callee list to the given defined names,
-    preserving first-occurrence order."""
-    return [name for name in fn.calls if name in defined_names]
-
-
 def build_trace_fragment(entry: CorpusEntry) -> TraceFragment:
     """Parse one corpus entry into functions plus intra-entry call edges.
 
@@ -216,17 +209,11 @@ def build_trace_fragment(entry: CorpusEntry) -> TraceFragment:
     """
     functions = extract_functions(entry.source_text)
     defined = {fn.name for fn in functions}
-    edges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for fn in functions:
-        for callee in extract_calls(fn, defined):
-            edge = (fn.name, callee)
-            if edge not in seen:
-                seen.add(edge)
-                edges.append(edge)
+    # A dict keeps the first occurrence of each edge, in order.
+    edges = dict.fromkeys(
+        (fn.name, callee) for fn in functions for callee in fn.calls if callee in defined)
     return TraceFragment(
         entry_id=entry.entry_id,
         functions=tuple(functions),
         call_edges=tuple(edges),
-        io_spec=entry.io_spec,
     )

@@ -173,9 +173,3 @@ def retrieved_kc_names(result: RetrievalResult, graph: DependencyGraph) -> list[
         for node_id in result.subgraph_nodes
         if node_id in graph.kc_nodes
     )
-
-
-def retrieved_kc_count(result: RetrievalResult, graph: DependencyGraph) -> int:
-    """Size of the retrieved subgraph counting knowledge-code nodes only,
-    the per-question quantity reported by the evaluation harness."""
-    return len(retrieved_kc_names(result, graph))

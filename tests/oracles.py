@@ -179,3 +179,62 @@ def random_io_graph(rng: random.Random, max_kc: int = 8) -> tuple[DependencyGrap
             graph.add_edge(anchor, node_id, YIELDS)
         targets.append(node_id)
     return graph, sources, targets
+
+
+def oracle_call_cycles(graph: DependencyGraph) -> list[tuple[str, ...]]:
+    """Every simple CALL cycle, each rooted at its smallest node id so it
+    is listed exactly once. Exponential in the worst case and recursive
+    per path step: only for small graphs."""
+    adjacency: dict[str, list[str]] = {nid: [] for nid in graph.kc_nodes}
+    for edge in graph.edges:
+        if edge.type == CALL and edge.src in adjacency and edge.dst in adjacency:
+            adjacency[edge.src].append(edge.dst)
+    for nid in adjacency:
+        adjacency[nid] = sorted(set(adjacency[nid]))
+
+    cycles: list[tuple[str, ...]] = []
+
+    def explore(root: str, node: str, path: list[str], visited: set[str]) -> None:
+        for successor in adjacency[node]:
+            if successor == root:
+                cycles.append(tuple(path + [root]))
+            elif successor > root and successor not in visited:
+                explore(root, successor, path + [successor], visited | {successor})
+
+    for root in sorted(adjacency):
+        explore(root, root, [root], {root})
+    return cycles
+
+
+def oracle_cyclic_components(graph: DependencyGraph) -> set[frozenset[str]]:
+    """Strongly connected components of the CALL edges that contain a
+    cycle, by mutual reachability: quadratic, but independent of Tarjan."""
+    calls = DependencyGraph(kc_nodes=graph.kc_nodes,
+                            edges={edge for edge in graph.edges if edge.type == CALL})
+    reach = {nid: oracle_reachable(calls, nid) for nid in graph.kc_nodes}
+    components = set()
+    for nid in graph.kc_nodes:
+        members = frozenset(other for other in reach[nid] if nid in reach[other])
+        if len(members) > 1 or (nid, nid, CALL) in calls.edges:
+            components.add(members)
+    return components
+
+
+def random_call_graph(rng: random.Random, max_kc: int = 9) -> DependencyGraph:
+    """Knowledge-code nodes in shuffled insertion order with random CALL
+    edges, self-loops included, at a random density."""
+    graph = DependencyGraph()
+    kc_ids = [f"kc:e0:f{i}" for i in range(rng.randint(0, max_kc))]
+    rng.shuffle(kc_ids)
+    for node_id in kc_ids:
+        name = node_id.rsplit(":", 1)[1]
+        graph.add_kc_node(KnowledgeCodeNode(
+            node_id=node_id, function_name=name, code=f"def {name}():\n    pass",
+            knowledge=f"about {name}", origin_entries=("e0",),
+        ))
+    density = rng.choice((0.05, 0.15, 0.3))
+    for src in kc_ids:
+        for dst in kc_ids:
+            if rng.random() < density:
+                graph.add_edge(src, dst, CALL)
+    return graph

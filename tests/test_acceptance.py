@@ -28,7 +28,7 @@ from sgkr.graph import (
     merge_identical,
     serialize,
 )
-from sgkr.retriever import RetrievalLimits, find_paths, retrieve, retrieved_kc_count, retrieved_kc_names
+from sgkr.retriever import RetrievalLimits, find_paths, retrieve, retrieved_kc_names
 from sgkr.tagger import extract_tags
 
 WIDE = RetrievalLimits(max_depth=16, max_paths=10**6)
@@ -133,7 +133,7 @@ def test_criterion_5_kc_count_excludes_io_nodes(fee_graph, fee_vocab):
             result = retrieve(fee_graph, extract_tags(question, fee_vocab))
             kc_in_subgraph = {n for n in result.subgraph_nodes if n in fee_graph.kc_nodes}
             io_in_subgraph = {n for n in result.subgraph_nodes if n in fee_graph.io_nodes}
-            count = retrieved_kc_count(result, fee_graph)
+            count = len(retrieved_kc_names(result, fee_graph))
             assert count == len(kc_in_subgraph)
             assert count == len(result.subgraph_nodes) - len(io_in_subgraph)
             assert not io_in_subgraph & kc_in_subgraph

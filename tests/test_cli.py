@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,24 @@ MANIFEST = str(FIXTURE_DIR / "manifest.json")
 ALIASES = str(FIXTURE_DIR / "aliases.json")
 GOLD = str(FIXTURE_DIR / "gold.json")
 VECTORS = str(FIXTURE_DIR / "vectors.txt")
+
+
+def write_corpus(directory, sources, knowledge=None):
+    """A manifest with one entry per (entry id, source) pair; each entry's
+    input and output anchor at the first function it defines."""
+    entries = []
+    for entry_id, source in sources.items():
+        (directory / f"{entry_id}.py").write_text(source)
+        anchor = source.split("def ", 1)[1].split("(", 1)[0]
+        entries.append({
+            "id": entry_id, "source": f"{entry_id}.py",
+            "inputs": [{"label": f"{entry_id} in", "anchor": anchor}],
+            "outputs": [{"label": f"{entry_id} out", "anchor": anchor}],
+            "knowledge": (knowledge or {}).get(entry_id, {}),
+        })
+    manifest = directory / "manifest.json"
+    manifest.write_text(json.dumps({"corpus_name": "t", "version": "1", "entries": entries}))
+    return str(manifest)
 
 
 @pytest.fixture()
@@ -72,6 +91,44 @@ class TestBuild:
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_fee_output_matches_recorded(self, tmp_path, capsys):
+        out = tmp_path / "fee_graph.json"
+        assert main(["build", "--manifest", MANIFEST, "--graph", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "built graph: 12 kc-nodes, 6 io-nodes, 17 edges; duplicate nodes merged: 1\n"
+            "call cycles: 0\n"
+            f"wrote {out}\n"
+        )
+        assert captured.err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "063b575c918a3537dd042ce6ce922443d57524d5549249ade5b2af0c03fe1534"
+
+    def test_unknown_annotated_function_is_one_error(self, tmp_path, capsys):
+        manifest = write_corpus(tmp_path, {"e1": "def a(x):\n    return x\n"},
+                                knowledge={"e1": {"ghost": "never defined"}})
+        code = main(["build", "--manifest", manifest, "--graph", str(tmp_path / "g.json")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error:") and "'ghost'" in lines[0]
+
+    def test_cycle_knot_prints_one_line_per_component(self, tmp_path, capsys):
+        # e1's three functions call each other (three simple cycles); e2's
+        # two call each other (one more). That is two components.
+        manifest = write_corpus(tmp_path, {
+            "e1": "def a():\n    b()\n    c()\n\ndef b():\n    c()\n    a()\n\n"
+                  "def c():\n    a()\n",
+            "e2": "def d():\n    e()\n\ndef e():\n    d()\n",
+        })
+        code = main(["build", "--manifest", manifest, "--graph", str(tmp_path / "g.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "call cycles: 2\n" in out
+        assert [line for line in out.splitlines() if "cycle:" in line] == [
+            "  cycle: kc:e1:a -> kc:e1:b -> kc:e1:a",
+            "  cycle: kc:e2:d -> kc:e2:e -> kc:e2:d",
+        ]
 
 
 class TestQuery:
@@ -169,14 +226,6 @@ class TestEval:
         code = main(["eval", "--graph", graph_path, "--gold", str(bad)])
         assert code != 0
 
-    def test_scorer_flag_picks_default_methods(self, graph_path, capsys):
-        code = main(["eval", "--graph", graph_path, "--gold", GOLD,
-                     "--aliases", ALIASES, "--scorer", "vectors",
-                     "--vectors", VECTORS])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert any(line.startswith("vectors") for line in captured.out.splitlines())
-
 
 class TestInspect:
     def test_lists_nodes_and_edges(self, graph_path, capsys):
@@ -243,6 +292,23 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.count("def ") == 5
+
+    def test_malformed_config_is_error(self, graph_path, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text('{"graph": ')
+        monkeypatch.setenv("SGKR_CONFIG", str(config))
+        code = main(["query", "--graph", graph_path, "--question", FEE_QUESTION])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: config file")
+
+    def test_wrongly_typed_config_field_is_error(self, graph_path, tmp_path, capsys,
+                                                 monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"graph": graph_path, "max_depth": "3"}))
+        monkeypatch.setenv("SGKR_CONFIG", str(config))
+        code = main(["query", "--question", FEE_QUESTION])
+        assert code == 1
+        assert "'max_depth' must be int" in capsys.readouterr().err
 
     def test_unknown_config_field_rejected(self, graph_path, tmp_path, capsys, monkeypatch):
         config = tmp_path / "config.json"

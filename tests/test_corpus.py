@@ -8,9 +8,9 @@ from sgkr.corpus import (
     load_corpus,
     normalize_label,
     save_corpus,
-    validate_entry,
 )
-from sgkr.errors import DuplicateEntryId, MalformedManifest, MissingFile
+from sgkr.errors import DuplicateEntryId, KnowledgeBindingError, MalformedManifest, MissingFile
+from sgkr.graph import build_graph
 from sgkr.parser import extract_functions
 
 
@@ -125,34 +125,32 @@ class TestFeeFixture:
     def test_every_entry_validates_cleanly(self, fee_corpus):
         for entry in fee_corpus.entries:
             parsed = {fn.name for fn in extract_functions(entry.source_text)}
-            report = validate_entry(entry, parsed)
-            assert report.ok, report
+            assert set(entry.knowledge_map) <= parsed, entry.entry_id
 
 
 class TestValidateEntry:
+    """An entry's knowledge annotations are checked against the functions
+    its source defines when the graph is built."""
+
     def test_known_function_passes(self, tmp_path):
         manifest = write_manifest(tmp_path, [
             entry_dict("q1", "a.py", knowledge={"compute_fee": "text"},
+                       inputs=[{"label": "x", "anchor": "compute_fee"}],
+                       outputs=[{"label": "y", "anchor": "compute_fee"}],
                        _code="def compute_fee(x):\n    return x\n"),
         ])
-        entry = load_corpus(manifest).entries[0]
-        report = validate_entry(entry, {"compute_fee"})
-        assert report.ok
+        graph = build_graph(load_corpus(manifest))
+        assert [node.knowledge for node in graph.kc_nodes.values()] == ["text"]
 
     def test_typo_reported(self, tmp_path):
         manifest = write_manifest(tmp_path, [
             entry_dict("q1", "a.py", knowledge={"compute_feee": "text"},
+                       inputs=[{"label": "x", "anchor": "compute_fee"}],
+                       outputs=[{"label": "y", "anchor": "compute_fee"}],
                        _code="def compute_fee(x):\n    return x\n"),
         ])
-        entry = load_corpus(manifest).entries[0]
-        report = validate_entry(entry, {"compute_fee"})
-        assert report.missing_functions == ("compute_feee",)
-        assert not report.ok
-
-    def test_validation_is_pure(self, fee_corpus):
-        entry = fee_corpus.entries[0]
-        parsed = {fn.name for fn in extract_functions(entry.source_text)}
-        assert validate_entry(entry, parsed) == validate_entry(entry, parsed)
+        with pytest.raises(KnowledgeBindingError, match="'compute_feee'"):
+            build_graph(load_corpus(manifest))
 
 
 class TestRoundTrip:

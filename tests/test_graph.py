@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import json
 import random
+import time
 
 import pytest
 
-from oracles import oracle_merge, oracle_reachable, random_premerge_graph
+from oracles import (
+    oracle_call_cycles,
+    oracle_cyclic_components,
+    oracle_merge,
+    oracle_reachable,
+    random_call_graph,
+    random_premerge_graph,
+)
 from sgkr.corpus import Corpus, CorpusEntry, IoDecl, IoSpec
 from sgkr.errors import (
     AnchorNotFound,
@@ -238,6 +247,66 @@ class TestValidateGraph:
         report = validate_graph(graph)
         assert any("duplicate function name" in v for v in report.violations)
 
+    def test_witnesses_match_cycle_oracle(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            graph = random_call_graph(rng)
+            report = validate_graph(graph)
+            all_cycles = set(oracle_call_cycles(graph))
+            assert set(report.cycles) <= all_cycles
+            by_root = {min(component): component for component in oracle_cyclic_components(graph)}
+            assert [cycle[0] for cycle in report.cycles] == sorted(by_root)
+            for cycle in report.cycles:
+                assert set(cycle) <= by_root[cycle[0]]
+            assert report.ok == (not all_cycles)
+
+    def test_witnesses_match_networkx_components(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(12)
+        for _ in range(300):
+            graph = random_call_graph(rng)
+            digraph = nx.DiGraph()
+            digraph.add_nodes_from(graph.kc_nodes)
+            digraph.add_edges_from((edge.src, edge.dst) for edge in graph.edges)
+            cyclic = [component for component in nx.strongly_connected_components(digraph)
+                      if len(component) > 1 or any(digraph.has_edge(n, n) for n in component)]
+            report = validate_graph(graph)
+            assert [cycle[0] for cycle in report.cycles] == sorted(min(c) for c in cyclic)
+            for cycle in report.cycles:
+                assert any(set(cycle) <= component for component in cyclic)
+
+    def test_long_call_chain_closed_on_itself(self):
+        graph = DependencyGraph()
+        ids = [kc_node_id("e", f"f{i:04d}") for i in range(1500)]
+        for node_id in ids:
+            graph.add_kc_node(KnowledgeCodeNode(node_id, node_id, "c", "k", ("e",)))
+        for src, dst in zip(ids, ids[1:] + ids[:1]):
+            graph.add_edge(src, dst, CALL)
+        started = time.perf_counter()
+        report = validate_graph(graph)
+        assert time.perf_counter() - started < 1.0
+        assert report.cycles == (tuple(ids) + (ids[0],),)
+
+    def test_dense_knot_has_one_witness(self):
+        # 16 functions on a call ring plus 59 random chords: the ring makes
+        # one component, the chords give it 344 062 simple cycles.
+        rng = random.Random(13)
+        ids = [kc_node_id("e", f"f{i:02d}") for i in range(16)]
+        graph = DependencyGraph()
+        for node_id in ids:
+            graph.add_kc_node(KnowledgeCodeNode(node_id, node_id, "c", "k", ("e",)))
+        for src, dst in zip(ids, ids[1:] + ids[:1]):
+            graph.add_edge(src, dst, CALL)
+        chords = [(a, b) for a in ids for b in ids if a != b and (a, b, CALL) not in graph.edges]
+        for src, dst in rng.sample(chords, 59):
+            graph.add_edge(src, dst, CALL)
+        assert len(graph.edges) == 75
+        started = time.perf_counter()
+        report = validate_graph(graph)
+        assert time.perf_counter() - started < 1.0
+        assert len(report.cycles) == 1
+        assert report.cycles[0][0] == report.cycles[0][-1] == ids[0]
+
 
 class TestSerialization:
     def test_round_trip_equality(self, fee_graph):
@@ -271,6 +340,24 @@ class TestSerialization:
         document = serialize(fee_graph).replace('"type": "CALL"', '"type": "WIBBLE"', 1)
         with pytest.raises(SchemaViolation):
             deserialize(document)
+
+    @pytest.mark.parametrize("path, value", [
+        (("kc_nodes",), 5),
+        (("kc_nodes", 0, "knowledge"), None),
+        (("kc_nodes", 0, "origin_entries"), "abc"),
+        (("kc_nodes", 0, "variants"), [7]),
+        (("io_nodes", 0, "label"), 5),
+        (("edges", 0, "src"), ["x"]),
+        (("edges", 0, "type"), ["CALL"]),
+    ])
+    def test_schema_violation_on_wrongly_typed_field(self, fee_graph, path, value):
+        document = json.loads(serialize(fee_graph))
+        record = document
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+        with pytest.raises(SchemaViolation):
+            deserialize(json.dumps(document))
 
     def test_not_json(self):
         with pytest.raises(SchemaViolation):

@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+from sgkr.corpus import CorpusEntry, IoSpec
 from sgkr.errors import ParseError
-from sgkr.parser import build_trace_fragment, extract_calls, extract_functions
+from sgkr.parser import build_trace_fragment, extract_functions
 
 
 class TestExtractFunctions:
@@ -116,21 +117,28 @@ class TestParseErrors:
         assert err.value.line == 2
 
 
+def call_edges(source: str) -> tuple[tuple[str, str], ...]:
+    entry = CorpusEntry(entry_id="e", source_text=source,
+                        io_spec=IoSpec(inputs=(), outputs=()), knowledge_map={})
+    return build_trace_fragment(entry).call_edges
+
+
 class TestExtractCalls:
+    """A function's calls become edges only to functions its entry defines."""
+
     def test_filters_to_defined_names(self):
-        source = "def f(y, z):\n    x = helper(y)\n    helper(z)\n    return len(x)\n"
-        fn = extract_functions(source)[0]
-        assert extract_calls(fn, {"helper"}) == ["helper"]
+        source = ("def f(y, z):\n    x = helper(y)\n    helper(z)\n    return len(x)\n\n"
+                  "def helper(v):\n    return v\n")
+        assert call_edges(source) == (("f", "helper"),)
 
     def test_external_names_dropped(self):
-        fn = extract_functions("def f(xs):\n    return len(xs)\n")[0]
-        assert extract_calls(fn, set()) == []
+        assert call_edges("def f(xs):\n    return len(xs)\n") == ()
 
     def test_fixture_most_expensive(self, fee_corpus):
-        defs = extract_functions(fee_corpus.entries[1].source_text)
-        fn = {f.name: f for f in defs}["most_expensive"]
-        defined = {"compute_fee", "find_all_mccs", "rule_applies"}
-        assert extract_calls(fn, defined) == ["compute_fee", "find_all_mccs"]
+        # Both solutions in one entry, so find_all_mccs is defined too.
+        source = fee_corpus.entries[1].source_text + "\n" + fee_corpus.entries[0].source_text
+        assert [callee for caller, callee in call_edges(source) if caller == "most_expensive"] \
+            == ["compute_fee", "find_all_mccs"]
 
 
 class TestBuildTraceFragment:
@@ -213,12 +221,7 @@ class TestGrammarCompleteness:
             source, names, planted = generate_program(rng)
             defs = extract_functions(source)
             assert [fn.name for fn in defs] == names
-            reported = set()
-            defined = set(names)
-            for fn in defs:
-                for callee in extract_calls(fn, defined):
-                    reported.add((fn.name, callee))
-            assert reported == planted, source
+            assert set(call_edges(source)) == planted, source
 
     def test_soundness_every_call_token_present(self, fee_corpus):
         for entry in fee_corpus.entries:

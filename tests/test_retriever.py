@@ -22,7 +22,6 @@ from sgkr.retriever import (
     RetrievalLimits,
     find_paths,
     retrieve,
-    retrieved_kc_count,
     retrieved_kc_names,
 )
 from sgkr.tagger import TagSet, extract_tags
@@ -177,9 +176,9 @@ class TestRetrieve:
         tags = extract_tags(FEE_QUESTION, fee_vocab)
         result = retrieve(fee_graph, tags)
         io_in_subgraph = [n for n in result.subgraph_nodes if n in fee_graph.io_nodes]
-        assert retrieved_kc_count(result, fee_graph) == \
+        assert len(retrieved_kc_names(result, fee_graph)) == \
             len(result.subgraph_nodes) - len(io_in_subgraph)
-        assert retrieved_kc_count(result, fee_graph) == 5
+        assert len(retrieved_kc_names(result, fee_graph)) == 5
 
     def test_stats_populated(self, fee_graph, fee_vocab):
         result = retrieve(fee_graph, extract_tags(FEE_QUESTION, fee_vocab))
