@@ -33,8 +33,11 @@ print(f"  matched inputs:  {sorted(tags.inputs)}")
 print(f"  matched outputs: {sorted(tags.outputs)}")
 
 # ---- 2. Path discovery ------------------------------------------------------
-# BFS walks CALL edges in both directions (data flows callee -> caller)
-# and I/O attachment edges forwards only; paths come out shortest first.
+# Iterative deepening walks CALL edges in both directions (data flows
+# callee -> caller) and I/O attachment edges forwards only; paths come out
+# shortest first. A step that cannot reach an output within the current
+# length is pruned, so the expansion count is the nodes the search
+# actually scanned, summed over the deepening levels.
 result = retrieve(graph, tags)
 print(f"\n{len(result.paths)} dependency paths "
       f"({result.stats.nodes_expanded} expansions):")

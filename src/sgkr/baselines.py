@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import read_text
 from .errors import (
     MissingFile,
     MissingResult,
@@ -125,7 +126,7 @@ def load_vectors(path: str | Path) -> VectorStore:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"vector file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise SchemaViolation("vector file is empty")
     try:
@@ -200,7 +201,7 @@ def load_gold(path: str | Path) -> list[GoldAnnotation]:
     if not path.is_file():
         raise MissingFile(f"gold file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"gold file is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):

@@ -40,8 +40,8 @@ def _load_config() -> Config:
     if not config_path:
         return config
     try:
-        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raw = json.loads(corpus.read_text(Path(config_path)))
+    except json.JSONDecodeError as exc:
         raise SgkrError(f"config file {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SgkrError(f"config file {config_path} must contain a JSON object")
@@ -74,7 +74,7 @@ def _load_graph(path: str | None) -> graphmod.DependencyGraph:
     graph_path = Path(path)
     if not graph_path.is_file():
         raise SgkrError(f"graph document not found: {graph_path}")
-    return graphmod.deserialize(graph_path.read_text(encoding="utf-8"))
+    return graphmod.deserialize(corpus.read_text(graph_path))
 
 
 def _build_vocab(g: graphmod.DependencyGraph, aliases_path: str | None) -> tagger.TagVocabulary:
@@ -83,9 +83,10 @@ def _build_vocab(g: graphmod.DependencyGraph, aliases_path: str | None) -> tagge
 
 
 def _limits(config: Config) -> retriever.RetrievalLimits:
-    if config.max_depth < 1 or config.max_paths < 1:
-        raise SgkrError("retrieval limits must be positive")
-    return retriever.RetrievalLimits(max_depth=config.max_depth, max_paths=config.max_paths)
+    try:
+        return retriever.RetrievalLimits(max_depth=config.max_depth, max_paths=config.max_paths)
+    except ValueError as exc:
+        raise SgkrError(str(exc)) from exc
 
 
 def cmd_build(config: Config, out) -> int:
@@ -129,10 +130,13 @@ def cmd_query(config: Config, question: str, output_format: str, out) -> int:
 
     if result.fallback:
         print("FALLBACK", file=out)
-    elif not result.paths:
-        note = "no dependency paths found"
+    elif not result.paths or result.stats.truncated_by_budget:
+        note = (f"search stopped after {len(result.paths)} paths" if result.paths
+                else "no dependency paths found")
         if result.stats.truncated_by_depth:
             note += " (depth limit reached)"
+        if result.stats.truncated_by_budget:
+            note += " (work budget reached)"
         print(f"note: {note}", file=out)
     print(context.render_prompt_block(bundle), file=out, end="")
     return 0
@@ -222,7 +226,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--graph", help="graph document path")
-        p.add_argument("--max-depth", dest="max_depth", type=int, help="BFS depth limit")
+        p.add_argument("--max-depth", dest="max_depth", type=int,
+                       help="longest dependency path searched, in edges")
         p.add_argument("--max-paths", dest="max_paths", type=int, help="path count limit")
         p.add_argument("--aliases", help="alias file path")
         p.add_argument("--format", choices=("text", "structured"), default="text",

@@ -13,7 +13,17 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateEntryId, MalformedManifest, MissingFile
+from .errors import DuplicateEntryId, MalformedManifest, MissingFile, NotUtf8
+
+
+def read_text(path: Path) -> str:
+    """A file's text, decoded as UTF-8; other bytes raise NotUtf8 naming
+    the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 _WS_RE = re.compile(r"\s+")
@@ -114,7 +124,7 @@ def _parse_entry(raw: object, base_dir: Path, path: str) -> CorpusEntry:
     source_path = base_dir / raw["source"]
     if not source_path.is_file():
         raise MissingFile(f"source file not found: {source_path}")
-    source_text = source_path.read_text(encoding="utf-8")
+    source_text = read_text(source_path)
 
     return CorpusEntry(
         entry_id=raw["id"],
@@ -134,7 +144,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     if not manifest_path.is_file():
         raise MissingFile(f"manifest not found: {manifest_path}")
     try:
-        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise MalformedManifest(f"not valid JSON: {exc}") from exc
 

@@ -11,6 +11,10 @@ class MissingFile(SgkrError):
     """A file referenced by a manifest or flag does not exist."""
 
 
+class NotUtf8(SgkrError):
+    """A file that must hold UTF-8 text holds other bytes."""
+
+
 class MalformedManifest(SgkrError):
     """A manifest violates the manifest schema.
 

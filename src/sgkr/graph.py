@@ -77,6 +77,9 @@ class DependencyGraph:
     kc_nodes: dict[str, KnowledgeCodeNode] = field(default_factory=dict)
     io_nodes: dict[str, IoNode] = field(default_factory=dict)
     edges: set[Edge] = field(default_factory=set)
+    # The retriever's memoized TraversalIndex of `edges`; it is rebuilt
+    # whenever `edges` no longer equals the edge set it was built from.
+    traversal_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self.kc_nodes or node_id in self.io_nodes
@@ -425,7 +428,8 @@ def _check_fields(record: object, expected: dict[str, type], where: str) -> dict
 
 def deserialize(document: str) -> DependencyGraph:
     """Parse a graph document produced by `serialize`. Raises
-    SchemaViolation on a missing, unknown or wrongly typed field."""
+    SchemaViolation on a missing, unknown or wrongly typed field and on a
+    node id given twice."""
     try:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -455,6 +459,12 @@ def deserialize(document: str) -> DependencyGraph:
             raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
         graph.add_io_node(IoNode(**record))
     known = graph.kc_nodes.keys() | graph.io_nodes.keys()
+    if len(known) < len(raw["kc_nodes"]) + len(raw["io_nodes"]):
+        seen: set[str] = set()
+        for record in raw["kc_nodes"] + raw["io_nodes"]:
+            if record["node_id"] in seen:
+                raise SchemaViolation(f"duplicate node_id {record['node_id']!r}")
+            seen.add(record["node_id"])
     for i, record in enumerate(raw["edges"]):
         record = _check_fields(record, _EDGE_FIELDS, f"edges[{i}]")
         edge = Edge(record["src"], record["dst"], record["type"])

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import label_tokens, normalize_label
+from .corpus import label_tokens, normalize_label, read_text
 from .errors import AliasCollision, MissingFile, SchemaViolation
 from .graph import INPUT, OUTPUT, DependencyGraph
 
@@ -40,7 +40,7 @@ def load_aliases(path: str | Path) -> dict[str, dict[str, str]]:
     if not path.is_file():
         raise MissingFile(f"alias file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"alias file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -16,9 +16,11 @@ from sgkr.graph import (
     OUTPUT,
     YIELDS,
     DependencyGraph,
+    Edge,
     IoNode,
     KnowledgeCodeNode,
 )
+from sgkr.retriever import DependencyPath, PathEdge
 
 KNOWLEDGE_SEP = "\n\n"
 
@@ -97,6 +99,67 @@ def oracle_simple_paths(
     for source in sources:
         walk(source, [source])
     return results
+
+
+def oracle_bfs_paths(
+    graph: DependencyGraph,
+    sources: list[str],
+    targets: list[str],
+    max_depth: int,
+    max_paths: int,
+) -> tuple[list[DependencyPath], bool]:
+    """The retired layer-by-layer breadth-first path search: every partial
+    simple path is kept, one layer per edge, and each layer's completed
+    paths are sorted by node-id sequence. Returns the paths and whether
+    the path cap truncated the search (a completed path was dropped, or
+    partial paths remained when the cap was reached)."""
+    raw: dict[str, dict[str, tuple[Edge, bool]]] = {}
+
+    def offer(node: str, neighbor: str, edge: Edge, rev: bool) -> None:
+        slot = raw.setdefault(node, {})
+        current = slot.get(neighbor)
+        if current is None or (current[1] and not rev):
+            slot[neighbor] = (edge, rev)
+
+    for edge in sorted(graph.edges):
+        offer(edge.src, edge.dst, edge, False)
+        if edge.type == CALL:
+            offer(edge.dst, edge.src, edge, True)
+    moves = {node: [(nbr, *data) for nbr, data in sorted(slot.items())]
+             for node, slot in raw.items()}
+
+    target_ids = set(targets)
+    truncated = False
+    found: list[DependencyPath] = []
+    frontier: list[tuple[tuple[str, ...], tuple[PathEdge, ...]]] = [
+        ((source,), ()) for source in sorted(set(sources))
+    ]
+    depth = 0
+    while frontier and len(found) < max_paths and depth < max_depth:
+        depth += 1
+        next_frontier = []
+        completed_here = []
+        for nodes, edges in frontier:
+            for neighbor, edge, rev in moves.get(nodes[-1], []):
+                if neighbor in nodes:
+                    continue
+                step = PathEdge(src=edge.src, dst=edge.dst, type=edge.type, reversed=rev)
+                extended = (nodes + (neighbor,), edges + (step,))
+                if neighbor in target_ids:
+                    completed_here.append(extended)
+                else:
+                    next_frontier.append(extended)
+        completed_here.sort(key=lambda item: item[0])
+        for nodes, edges in completed_here:
+            if len(found) >= max_paths:
+                truncated = True
+                break
+            found.append(DependencyPath(nodes=nodes, edges=edges))
+        frontier = next_frontier
+
+    if frontier and len(found) >= max_paths:
+        truncated = True
+    return found, truncated
 
 
 def oracle_reachable(graph: DependencyGraph, start: str) -> set[str]:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import FEE_QUESTION, FIXTURE_DIR
+from sgkr import cli, retriever
 from sgkr.cli import main
 from sgkr.context import FUNCTIONS_HEADER, KNOWLEDGE_HEADER
 
@@ -180,6 +181,26 @@ class TestQuery:
               "--question", FEE_QUESTION])
         assert capsys.readouterr().out == first
 
+    def test_work_budget_note(self, graph_path, capsys, monkeypatch):
+        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 3)
+        code = main(["query", "--graph", graph_path, "--aliases", ALIASES,
+                     "--question", FEE_QUESTION])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "(work budget reached)" in captured.out
+        assert "(depth limit reached)" not in captured.out
+
+    def test_disconnected_question_has_no_limit_note(self, tmp_path, capsys):
+        manifest = write_corpus(tmp_path, {"e1": "def f():\n    pass\n",
+                                           "e2": "def g():\n    pass\n"})
+        graph = tmp_path / "g.json"
+        assert main(["build", "--manifest", manifest, "--graph", str(graph)]) == 0
+        capsys.readouterr()
+        code = main(["query", "--graph", str(graph), "--question", "from e1 in to e2 out"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("note: no dependency paths found\n")
+
 
 class TestEval:
     def test_three_methods_table(self, graph_path, capsys):
@@ -271,6 +292,35 @@ class TestInspect:
                      "--max-depth", "0"])
         assert code != 0
         assert "positive" in capsys.readouterr().err
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("flag", ["--graph", "--manifest", "source", "--aliases",
+                                      "--gold", "--vectors"])
+    def test_non_utf8_input_is_error(self, graph_path, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        if flag == "--graph":
+            argv = ["query", "--graph", str(bad), "--question", FEE_QUESTION]
+        elif flag in ("--manifest", "source"):
+            manifest = write_corpus(tmp_path, {"e1": "def f():\n    pass\n"})
+            if flag == "source":
+                (tmp_path / "e1.py").write_bytes(b"\xff\xfedef f():\n    pass\n")
+                bad = tmp_path / "e1.py"
+            else:
+                manifest = str(bad)
+            argv = ["build", "--manifest", manifest, "--graph", str(tmp_path / "g.json")]
+        elif flag == "--aliases":
+            argv = ["query", "--graph", graph_path, "--aliases", str(bad),
+                    "--question", FEE_QUESTION]
+        else:
+            argv = ["eval", "--graph", graph_path, "--gold", GOLD, "--vectors", VECTORS,
+                    "--methods", "sgkr,vectors", flag, str(bad)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {bad}: not UTF-8")
+        assert "Traceback" not in captured.err
 
 
 class TestConfigFile:

@@ -359,6 +359,18 @@ class TestSerialization:
         with pytest.raises(SchemaViolation):
             deserialize(json.dumps(document))
 
+    @pytest.mark.parametrize("source, target", [
+        ("kc_nodes", "kc_nodes"), ("io_nodes", "io_nodes"), ("kc_nodes", "io_nodes"),
+    ])
+    def test_schema_violation_on_duplicate_node_id(self, fee_graph, source, target):
+        document = json.loads(serialize(fee_graph))
+        twin = dict(document[target][0], node_id=document[source][0]["node_id"])
+        if target == "kc_nodes":
+            twin["knowledge"] = "another text"
+        document[target].append(twin)
+        with pytest.raises(SchemaViolation, match="duplicate node_id"):
+            deserialize(json.dumps(document))
+
     def test_not_json(self):
         with pytest.raises(SchemaViolation):
             deserialize("][")

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
 
 from conftest import FEE_NEEDED, FEE_QUESTION, FEE_UNNEEDED
-from oracles import oracle_simple_paths, random_io_graph
+from oracles import oracle_bfs_paths, oracle_simple_paths, random_io_graph
+from sgkr import retriever
 from sgkr.errors import UnknownNode
 from sgkr.graph import (
     CALL,
@@ -14,12 +17,14 @@ from sgkr.graph import (
     OUTPUT,
     YIELDS,
     DependencyGraph,
+    Edge,
     IoNode,
     KnowledgeCodeNode,
     serialize,
 )
 from sgkr.retriever import (
     RetrievalLimits,
+    SearchStats,
     find_paths,
     retrieve,
     retrieved_kc_names,
@@ -131,6 +136,126 @@ class TestFindPaths:
                 assert len(set(path.nodes)) == len(path.nodes)
                 for interior in path.nodes[1:-1]:
                     assert interior in graph.kc_nodes
+
+
+def kc_graph(names, calls, feeds, yields):
+    """kc nodes `names`, CALL edges `calls`, one input feeding each of
+    `feeds` and one output yielded by each of `yields`."""
+    graph = DependencyGraph()
+    for name in names:
+        graph.add_kc_node(KnowledgeCodeNode(
+            node_id=name, function_name=name, code=f"def {name}():\n    pass",
+            knowledge=name, origin_entries=("e",),
+        ))
+    graph.add_io_node(IoNode(node_id="io:input:in", label="in", kind=INPUT))
+    graph.add_io_node(IoNode(node_id="io:output:out", label="out", kind=OUTPUT))
+    for src, dst in calls:
+        graph.add_edge(src, dst, CALL)
+    for name in feeds:
+        graph.add_edge("io:input:in", name, FEEDS)
+    for name in yields:
+        graph.add_edge(name, "io:output:out", YIELDS)
+    return graph
+
+
+class TestAgainstRetiredSearch:
+    """The deepening search against the retired breadth-first search it
+    replaced: same paths, same edge orientation, same path-cap flag."""
+
+    @pytest.mark.parametrize("max_depth, max_paths", [(16, 64), (4, 3), (2, 1), (16, 10**6)])
+    def test_matches_retired_bfs(self, max_depth, max_paths):
+        rng = random.Random(7100 + max_depth * 31 + max_paths % 97)
+        limits = RetrievalLimits(max_depth=max_depth, max_paths=max_paths)
+        for _ in range(1000):
+            graph, sources, targets = random_io_graph(rng)
+            stats = SearchStats()
+            got = find_paths(graph, sources, targets, limits, stats)
+            expected, truncated = oracle_bfs_paths(graph, sources, targets, max_depth, max_paths)
+            assert got == expected
+            assert stats.truncated_by_paths == truncated
+            assert not stats.truncated_by_budget
+            assert stats.paths_found == len(got)
+
+    def test_unreachable_target_in_call_grid_expands_nothing(self):
+        # A 10 x 3 grid of calls that the input reaches and the output
+        # does not: the breadth-first search walked all its simple paths.
+        cells = [f"g{row}_{col}" for row in range(10) for col in range(3)]
+        calls = [(f"g{r}_{c}", f"g{r}_{c + 1}") for r in range(10) for c in range(2)]
+        calls += [(f"g{r}_{c}", f"g{r + 1}_{c}") for r in range(9) for c in range(3)]
+        graph = kc_graph(cells + ["island"], calls, feeds=["g0_0"], yields=["island"])
+        stats = SearchStats()
+        assert find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats) == []
+        assert stats == SearchStats()
+
+    def test_unreachable_target_with_deep_component_sets_no_flag(self):
+        # The output's side is a chain longer than `max_depth`, so the
+        # backward distance layers are not used up at the last level.
+        chain = [f"c{i}" for i in range(8)]
+        graph = kc_graph(chain + ["lone"], list(zip(chain, chain[1:])),
+                         feeds=["lone"], yields=["c0"])
+        stats = SearchStats()
+        limits = RetrievalLimits(max_depth=3, max_paths=10)
+        assert find_paths(graph, ["io:input:in"], ["io:output:out"], limits, stats) == []
+        assert stats == SearchStats()
+
+    def test_target_beyond_max_depth_sets_depth_flag(self):
+        names = [f"c{i}" for i in range(6)]
+        graph = kc_graph(names, list(zip(names, names[1:])), feeds=["c0"], yields=["c5"])
+        stats = SearchStats()
+        limits = RetrievalLimits(max_depth=6, max_paths=10)
+        assert find_paths(graph, ["io:input:in"], ["io:output:out"], limits, stats) == []
+        assert stats.truncated_by_depth
+        assert not stats.truncated_by_paths and not stats.truncated_by_budget
+        stats = SearchStats()
+        limits = RetrievalLimits(max_depth=7, max_paths=10)
+        assert len(find_paths(graph, ["io:input:in"], ["io:output:out"], limits, stats)) == 1
+        assert not stats.truncated_by_depth
+
+    def test_dense_knot_stops_at_work_budget(self, monkeypatch):
+        names = [f"k{i:02d}" for i in range(16)]
+        graph = kc_graph(names, list(itertools.permutations(names, 2)),
+                         feeds=["k00"], yields=["k15"])
+        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 5_000)
+        limits = RetrievalLimits(max_paths=10**6)
+        stats = SearchStats()
+        started = time.perf_counter()
+        paths = find_paths(graph, ["io:input:in"], ["io:output:out"], limits, stats)
+        assert time.perf_counter() - started < 1.0
+        assert stats.truncated_by_budget
+        assert stats.nodes_expanded == 5_000
+        assert paths and stats.paths_found == len(paths)
+        # What was returned is the start of the full, unbudgeted answer.
+        assert paths == find_paths(graph, ["io:input:in"], ["io:output:out"],
+                                   RetrievalLimits(max_paths=len(paths)))
+
+    def test_budget_spent_after_exact_cap_counts_as_path_cap(self, monkeypatch):
+        # The one path of three edges fills the cap after three expansions;
+        # the probe for a longer walk then runs out of budget.
+        names = [f"k{i:02d}" for i in range(16)]
+        graph = kc_graph(names, list(itertools.permutations(names, 2)),
+                         feeds=["k00"], yields=["k15"])
+        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 5)
+        stats = SearchStats()
+        paths = find_paths(graph, ["io:input:in"], ["io:output:out"],
+                           RetrievalLimits(max_paths=1), stats)
+        expected, truncated = oracle_bfs_paths(graph, ["io:input:in"], ["io:output:out"], 16, 1)
+        assert paths == expected
+        assert [p.nodes for p in paths] == [("io:input:in", "k00", "k15", "io:output:out")]
+        assert stats.nodes_expanded == 5
+        assert stats.truncated_by_paths and truncated
+        assert not stats.truncated_by_budget
+
+    def test_edge_mutation_seen_by_next_retrieve(self):
+        graph = chain_graph()
+        tags = TagSet(inputs=frozenset({"start"}), outputs=frozenset({"end"}), fallback=False)
+        assert len(retrieve(graph, tags).paths) == 1
+        graph.edges.add(Edge("io:input:start", "kc:e:f2", FEEDS))
+        assert [p.nodes for p in retrieve(graph, tags).paths] == [
+            ("io:input:start", "kc:e:f2", "io:output:end"),
+            ("io:input:start", "kc:e:f1", "kc:e:f2", "io:output:end"),
+        ]
+        graph.edges.discard(Edge("kc:e:f2", "io:output:end", YIELDS))
+        assert retrieve(graph, tags).paths == ()
 
 
 class TestRetrieve:
