@@ -37,7 +37,10 @@ print(f"  matched outputs: {sorted(tags.outputs)}")
 # callee -> caller) and I/O attachment edges forwards only; paths come out
 # shortest first. A step that cannot reach an output within the current
 # length is pruned, so the expansion count is the nodes the search
-# actually scanned, summed over the deepening levels.
+# actually scanned, summed over the deepening levels. Once a search has
+# expanded as many nodes as the graph has edges (17 here), it confines
+# itself to the biconnected blocks between its input and output and walks
+# the level in progress again; the count includes that second walk.
 result = retrieve(graph, tags)
 print(f"\n{len(result.paths)} dependency paths "
       f"({result.stats.nodes_expanded} expansions):")

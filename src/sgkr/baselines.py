@@ -2,8 +2,11 @@
 
 Two baselines stand in for model-based retrieval: an Okapi-style lexical
 ranker over each node's name, knowledge and code identifiers, and a
-cosine ranker over externally supplied vectors. The harness scores any
-retrieved name set against gold needed/unneeded annotations.
+cosine ranker over externally supplied vectors. The lexical index (node
+documents tokenized, term counts, idf) is built once per graph and
+memoized on it, so an evaluation tokenizes the corpus once, not once per
+question. The harness scores any retrieved name set against gold
+needed/unneeded annotations.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -86,13 +89,16 @@ class LexicalRanker:
         }
 
     def score(self, question: str, function_name: str) -> float:
+        return self._score(text_tokens(question), function_name)
+
+    def _score(self, terms: list[str], function_name: str) -> float:
         term_freq = self._term_freqs[function_name]
         doc_len = self._doc_lens[function_name]
         if not doc_len or not self._avgdl:
             return 0.0
         norm = self.k1 * (1.0 - self.b + self.b * doc_len / self._avgdl)
         total = 0.0
-        for term in text_tokens(question):
+        for term in terms:
             freq = term_freq.get(term)
             if not freq:
                 continue
@@ -100,9 +106,22 @@ class LexicalRanker:
         return total
 
     def rank(self, question: str) -> list[tuple[str, float]]:
-        scored = [(name, self.score(question, name)) for name in self._names]
+        terms = text_tokens(question)
+        scored = [(name, self._score(terms, name)) for name in self._names]
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored
+
+
+def lexical_ranker(graph: DependencyGraph) -> LexicalRanker:
+    """The graph's ranker over its nodes sorted by name, built on first use
+    and rebuilt when `graph.kc_nodes` no longer equals the nodes it was
+    built from (a copy of each, so a node changed in place counts too)."""
+    cached = graph.cache.get("lexical")
+    if cached is None or cached[0] != graph.kc_nodes:
+        nodes = {node_id: replace(node) for node_id, node in graph.kc_nodes.items()}
+        ranker = LexicalRanker(sorted(nodes.values(), key=lambda node: node.function_name))
+        cached = graph.cache["lexical"] = (nodes, ranker)
+    return cached[1]
 
 
 @dataclass(frozen=True)
@@ -134,12 +153,17 @@ def load_vectors(path: str | Path) -> VectorStore:
     except ValueError as exc:
         raise SchemaViolation(f"bad dimension header: {lines[0]!r}") from exc
     vectors: dict[str, tuple[float, ...]] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         if "\t" not in line:
             raise SchemaViolation(f"line {lineno}: expected name<TAB>floats")
         name, _, payload = line.partition("\t")
+        if name in first_line:
+            raise SchemaViolation(f"line {lineno}: {name!r} already has a vector on line "
+                                  f"{first_line[name]}")
+        first_line[name] = lineno
         try:
             values = tuple(float(piece) for piece in payload.split())
         except ValueError as exc:
@@ -172,12 +196,12 @@ def retrieve_topk(
     ties by name. Returns exactly min(k, node count) names."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    nodes = sorted(graph.kc_nodes.values(), key=lambda node: node.function_name)
     if scorer == "lexical":
-        ranked = LexicalRanker(nodes).rank(question)
+        ranked = lexical_ranker(graph).rank(question)
     elif scorer == "vectors":
         if vectors is None:
             raise ValueError("scorer 'vectors' requires a VectorStore")
+        nodes = sorted(graph.kc_nodes.values(), key=lambda node: node.function_name)
         query = vectors.get(question)
         scored = [(node.function_name, cosine(query, vectors.get(node.function_name)))
                   for node in nodes]
@@ -210,6 +234,12 @@ def load_gold(path: str | Path) -> list[GoldAnnotation]:
     for i, record in enumerate(raw):
         if not isinstance(record, dict) or set(record) != {"question", "needed", "unneeded"}:
             raise SchemaViolation(f"gold[{i}]: expected {{question, needed, unneeded}}")
+        if not isinstance(record["question"], str):
+            raise SchemaViolation(f"gold[{i}]: question must be a string")
+        for key in ("needed", "unneeded"):
+            names = record[key]
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise SchemaViolation(f"gold[{i}]: {key} must be a list of strings")
         needed = frozenset(record["needed"])
         unneeded = frozenset(record["unneeded"])
         overlap = needed & unneeded

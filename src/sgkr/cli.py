@@ -174,6 +174,9 @@ def cmd_eval(config: Config, output_format: str, out) -> int:
             for annotation in gold:
                 tagset = tagger.extract_tags(annotation.question, vocab)
                 retrieval = retriever.retrieve(g, tagset, limits)
+                if retrieval.stats.truncated_by_budget:
+                    print(f"note: search for {annotation.question!r} stopped at the work budget",
+                          file=sys.stderr)
                 results[annotation.question] = frozenset(
                     retriever.retrieved_kc_names(retrieval, g))
         elif method in ("lexical", "vectors"):

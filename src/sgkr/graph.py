@@ -77,9 +77,11 @@ class DependencyGraph:
     kc_nodes: dict[str, KnowledgeCodeNode] = field(default_factory=dict)
     io_nodes: dict[str, IoNode] = field(default_factory=dict)
     edges: set[Edge] = field(default_factory=set)
-    # The retriever's memoized TraversalIndex of `edges`; it is rebuilt
-    # whenever `edges` no longer equals the edge set it was built from.
-    traversal_cache: object = field(default=None, init=False, repr=False, compare=False)
+    # Structures derived from the graph and memoized on it by the module
+    # that owns them (the retriever's traversal index, the lexical ranker).
+    # Each owner revalidates its entry against the field it was built from.
+    cache: dict[str, object] = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self.kc_nodes or node_id in self.io_nodes

@@ -18,12 +18,25 @@ Deepening stops after the first level that pruned nothing, at the path
 cap, or after `_MAX_EXPANSIONS` node expansions. The traversal adjacency
 is built once per graph as a `TraversalIndex` and reused while the
 graph's edge set stays equal to the one it was built from.
+
+A search that has expanded as many nodes as the graph has edges confines
+itself to the biconnected blocks between its endpoints (Hopcroft & Tarjan
+1973). Take the undirected graph over the interior nodes, those with a
+move in and a move out: every simple path between two of its nodes stays
+inside the blocks on the block-cut-tree path between them. So the
+distance table is rebuilt over the sources, the targets and the blocks on
+tree paths from a source's successor to a target's predecessor, and the
+level in progress is walked again; the same distance test then prunes
+every other node. The blocks are found once per index, in O(V + E), which
+is why cheap searches never pay for them. Paths and their order do not
+change, since no simple path leaves those blocks.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import UnknownNode
@@ -31,9 +44,10 @@ from .graph import CALL, EDGE_TYPES, DependencyGraph, Edge
 from .tagger import TagSet
 
 
-# Node expansions after which a search stops. Far above the largest count
-# measured on the fee corpus and the benchmark workloads (199), it bounds
-# the work of a question on a dense call knot.
+# Node expansions after which a search stops. It bounds the work of a
+# question on a dense call knot. On the fee corpus and the benchmark
+# workloads the largest count is 10 117, by a `cli` gold question: 10 101
+# expansions (one per edge) before the block filter switches on, 16 after.
 _MAX_EXPANSIONS = 100_000
 
 _EDGE_KINDS = tuple(sorted(EDGE_TYPES))
@@ -71,12 +85,16 @@ class SearchStats:
     """Search work and why the search stopped.
 
     `nodes_expanded` counts the nodes whose neighbours the depth-first
-    walks scanned, over every deepening level. `truncated_by_paths`: the
-    path cap was reached while a longer walk or a further path of the same
-    length remained. `truncated_by_depth`: a target was reachable, ignoring
-    simplicity, but only beyond `max_depth`. `truncated_by_budget`: the
-    search stopped after `_MAX_EXPANSIONS` expansions, so the paths are a
-    prefix of the full answer."""
+    walks scanned, over every deepening level, a level walked again after
+    the block filter switched on included. `truncated_by_paths`: the path
+    cap was reached while a longer walk or a further path of the same
+    length remained. `truncated_by_depth`: the depth limit may have hidden
+    a longer simple path, i.e. every level up to `max_depth` pruned a step
+    from which a target was reachable, ignoring simplicity; it is never
+    False while such a path exists, unless the path cap or the budget
+    stopped the search. `truncated_by_budget`: the search stopped after
+    `_MAX_EXPANSIONS` expansions, so the paths are a prefix of the full
+    answer."""
 
     nodes_expanded: int = 0
     paths_found: int = 0
@@ -99,12 +117,17 @@ class TraversalIndex:
     walkable neighbours, sorted; `preds` maps a node to the nodes that can
     step onto it. `steps` remembers the `PathEdge` of each step a returned
     path has used: building them anew made up half of a question's
-    retrieval time on the query benchmark."""
+    retrieval time on the query benchmark. `blocks`, for the block
+    filter, is built on first use."""
 
     edges: frozenset[Edge]
     moves: dict[str, tuple[str, ...]]
     preds: dict[str, list[str]]
     steps: dict[tuple[str, str], PathEdge] = field(default_factory=dict)
+
+    @cached_property
+    def blocks(self) -> BlockTree:
+        return BlockTree.build(self.moves, self.preds)
 
     def step(self, node: str, neighbor: str) -> PathEdge:
         """The edge a step walks: a stored edge from `node` to `neighbor`
@@ -119,6 +142,79 @@ class TraversalIndex:
                 walked = PathEdge(src=neighbor, dst=node, type=CALL, reversed=True)
             self.steps[node, neighbor] = walked
         return walked
+
+
+@dataclass(frozen=True)
+class BlockTree:
+    """The biconnected blocks of the undirected graph over interior nodes
+    (a move in and a move out), as the block-cut tree rooted at one node
+    per connected component. `members` lists each block's nodes with its
+    head, the node it hangs from, last; a block comes after every block
+    below it. `roots` gives each block's component root."""
+
+    members: tuple[tuple[str, ...], ...]
+    roots: tuple[str, ...]
+
+    @classmethod
+    def build(cls, moves: dict[str, tuple[str, ...]], preds: dict[str, list[str]]) -> BlockTree:
+        """Hopcroft-Tarjan, with an explicit stack instead of recursion."""
+        interior = moves.keys() & preds.keys()
+        members: list[tuple[str, ...]] = []
+        roots: list[str] = []
+        order: dict[str, int] = {}
+        low: dict[str, int] = {}
+        for root in interior:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            # Discovered nodes not yet in a block, and the depth-first path
+            # as (node, neighbours left, the node's place on `stack`).
+            stack = [root]
+            walk = [(root, iter({*moves[root], *preds[root]}), 0)]
+            while walk:
+                node, todo, place = walk[-1]
+                for nxt in todo:
+                    if nxt not in interior or nxt == node:
+                        continue
+                    if nxt not in order:
+                        order[nxt] = low[nxt] = len(order)
+                        walk.append((nxt, iter({*moves[nxt], *preds[nxt]}), len(stack)))
+                        stack.append(nxt)
+                        break
+                    low[node] = min(low[node], order[nxt])
+                else:
+                    walk.pop()
+                    if walk:
+                        head = walk[-1][0]
+                        low[head] = min(low[head], low[node])
+                        if low[node] >= order[head]:
+                            members.append((*stack[place:], head))
+                            roots.append(root)
+                            del stack[place:]
+        return cls(members=tuple(members), roots=tuple(roots))
+
+    def between(self, starts: set[str], ends: set[str]) -> set[str]:
+        """The nodes of every block on a tree path from a node of `starts`
+        to a node of `ends`, plus the nodes in both sets."""
+        # Marks below each node, counted children first: a vertex's count
+        # covers the blocks that hang from it, a root's its whole component.
+        up_starts = dict.fromkeys(starts, 1)
+        up_ends = dict.fromkeys(ends, 1)
+        for *rest, head in self.members:
+            up_starts[head] = up_starts.get(head, 0) + sum(up_starts.get(node, 0) for node in rest)
+            up_ends[head] = up_ends.get(head, 0) + sum(up_ends.get(node, 0) for node in rest)
+        # A block is on such a path when the subtree below one of its
+        # members holds a start and an end lies outside it, or the reverse.
+        allowed = starts & ends
+        for block, root in zip(self.members, self.roots):
+            total_starts, total_ends = up_starts.get(root, 0), up_ends.get(root, 0)
+            for node in block[:-1]:
+                below_starts, below_ends = up_starts.get(node, 0), up_ends.get(node, 0)
+                if (below_starts and total_ends - below_ends
+                        or below_ends and total_starts - below_starts):
+                    allowed.update(block)
+                    break
+        return allowed
 
 
 def _build_index(edges: frozenset[Edge]) -> TraversalIndex:
@@ -140,51 +236,80 @@ def _build_index(edges: frozenset[Edge]) -> TraversalIndex:
 def traversal_index(graph: DependencyGraph) -> TraversalIndex:
     """The graph's traversal index, built on first use and rebuilt when
     `graph.edges` no longer equals the edge set it was built from."""
-    index = graph.traversal_cache
+    index = graph.cache.get("traversal")
     if index is None or graph.edges != index.edges:
-        index = _build_index(frozenset(graph.edges))
-        graph.traversal_cache = index
+        index = graph.cache["traversal"] = _build_index(frozenset(graph.edges))
     return index
+
+
+def _filter_point(index: TraversalIndex) -> float:
+    """Expansions after which a search switches the block filter on: the
+    block pass costs about as much as one expansion per edge."""
+    return len(index.edges)
 
 
 class _BudgetSpent(Exception):
     """The search reached `_MAX_EXPANSIONS` expansions."""
 
 
+class _Confine(Exception):
+    """The search reached its filter point."""
+
+
 class _Search:
     """State shared by the deepening levels of one `find_paths` call."""
 
     def __init__(self, index: TraversalIndex, targets: set[str]):
+        self.index = index
         self.moves = index.moves
         self.preds = index.preds
         self.targets = targets
         self.expanded = 0
-        # Walk distance to the nearest target, known up to `reach`; `layer`
-        # holds the nodes at distance `reach` and is empty once every node
-        # that reaches a target has its distance.
-        self.dist = dict.fromkeys(targets, 0)
-        self.layer = list(targets)
-        self.reach = 0
+        # Expansions at which `expand` stops the walk: the budget, or
+        # earlier the filter point.
+        self.stop_at = min(_MAX_EXPANSIONS, _filter_point(index))
+        # The nodes a path may use, once the block filter is on.
+        self.allowed: set[str] | None = None
+        self.reset()
         # Set by a level that ran to its end: a step was pruned, or may
         # have been (its distance is not known yet).
         self.pruned = False
 
+    def reset(self) -> None:
+        # Walk distance to the nearest target, known up to `reach`; `layer`
+        # holds the nodes at distance `reach` and is empty once every node
+        # that reaches a target has its distance.
+        self.dist = dict.fromkeys(self.targets, 0)
+        self.layer = list(self.targets)
+        self.reach = 0
+
+    def confine(self, sources: list[str]) -> None:
+        """Switch the block filter on: forget every distance, and give
+        distances from now on only to the nodes of the blocks between a
+        source's successor and a target's predecessor."""
+        starts = {node for source in sources for node in self.moves.get(source, ())}
+        ends = {node for target in self.targets for node in self.preds.get(target, ())}
+        self.allowed = self.index.blocks.between(starts, ends)
+        self.allowed.update(sources, self.targets)
+        self.stop_at = _MAX_EXPANSIONS
+        self.reset()
+
     def extend(self, reach: float) -> None:
         """Know every distance up to `reach`, one backward layer at a time."""
-        dist, preds = self.dist, self.preds
+        dist, preds, allowed = self.dist, self.preds, self.allowed
         while self.layer and self.reach < reach:
             self.reach += 1
             layer = []
             for node in self.layer:
                 for pred in preds.get(node, ()):
-                    if pred not in dist:
+                    if pred not in dist and (allowed is None or pred in allowed):
                         dist[pred] = self.reach
                         layer.append(pred)
             self.layer = layer
 
     def expand(self) -> None:
-        if self.expanded == _MAX_EXPANSIONS:
-            raise _BudgetSpent
+        if self.expanded >= self.stop_at:
+            raise _BudgetSpent if self.expanded == _MAX_EXPANSIONS else _Confine
         self.expanded += 1
 
     def walks(self, sources: list[str], length: int, prune: bool = True) -> Iterator[tuple[str, ...]]:
@@ -233,6 +358,33 @@ class _Search:
             self.pruned = pruned
 
 
+def _deepen(search: _Search, sources: list[str], length: int, limits: RetrievalLimits,
+            found: list[tuple[str, ...]], stats: SearchStats) -> bool:
+    """Add the paths of exactly `length` edges to `found`; True when the
+    search is finished, at the path cap or after a level that pruned
+    nothing."""
+    # The last level needs every distance to tell an unreachable target
+    # from one beyond `max_depth`.
+    search.extend(length if length < limits.max_depth else float("inf"))
+    for nodes in search.walks(sources, length):
+        if len(found) == limits.max_paths:
+            stats.truncated_by_paths = True
+            return True
+        found.append(nodes)
+    if len(found) == limits.max_paths:
+        # Truncated if a walk of this length that misses every target
+        # could still grow into a longer path. The answer is complete
+        # either way, so a probe cut off by the budget counts as the cap.
+        try:
+            stats.truncated_by_paths = any(
+                nodes[-1] not in search.targets
+                for nodes in search.walks(sources, length, prune=False))
+        except _BudgetSpent:
+            stats.truncated_by_paths = True
+        return True
+    return not search.pruned
+
+
 def find_paths(
     graph: DependencyGraph,
     sources: Iterable[str],
@@ -259,29 +411,16 @@ def find_paths(
     found: list[tuple[str, ...]] = []
     try:
         for length in range(1, limits.max_depth + 1):
-            # The last level needs every distance to tell an unreachable
-            # target from one beyond `max_depth`.
-            search.extend(length if length < limits.max_depth else float("inf"))
-            for nodes in search.walks(source_ids, length):
-                if len(found) == limits.max_paths:
-                    stats.truncated_by_paths = True
-                    break
-                found.append(nodes)
-            if len(found) == limits.max_paths:
-                # Truncated if a further path of this length turned up, or
-                # if a walk of this length that misses every target could
-                # still grow into a longer path. The answer is complete
-                # either way, so a probe cut off by the budget counts as
-                # the cap.
-                if not stats.truncated_by_paths:
-                    try:
-                        stats.truncated_by_paths = any(
-                            nodes[-1] not in target_ids
-                            for nodes in search.walks(source_ids, length, prune=False))
-                    except _BudgetSpent:
-                        stats.truncated_by_paths = True
-                break
-            if not search.pruned:
+            done = len(found)
+            try:
+                finished = _deepen(search, source_ids, length, limits, found, stats)
+            except _Confine:
+                # The filter keeps every path, in the same order: walk this
+                # level again over the blocks between the ends.
+                del found[done:]
+                search.confine(source_ids)
+                finished = _deepen(search, source_ids, length, limits, found, stats)
+            if finished:
                 break
         else:
             stats.truncated_by_depth = True

@@ -48,6 +48,8 @@ def load_aliases(path: str | Path) -> dict[str, dict[str, str]]:
     for alias, target in raw.items():
         if not isinstance(target, dict) or set(target) != {"label", "kind"}:
             raise SchemaViolation(f"alias {alias!r}: expected {{label, kind}}")
+        if not isinstance(target["label"], str):
+            raise SchemaViolation(f"alias {alias!r}: label must be a string")
         if target["kind"] not in (INPUT, OUTPUT):
             raise SchemaViolation(f"alias {alias!r}: bad kind {target['kind']!r}")
     return raw

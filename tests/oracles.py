@@ -244,6 +244,15 @@ def random_io_graph(rng: random.Random, max_kc: int = 8) -> tuple[DependencyGrap
     return graph, sources, targets
 
 
+def add_malformed_edges(rng: random.Random, graph: DependencyGraph, count: int = 6) -> None:
+    """Add `count` edges of a random type between random nodes, I/O nodes
+    included and either way round: a FEEDS edge into an input, a YIELDS
+    edge out of an output, a CALL edge touching an I/O node, self-loops."""
+    nodes = sorted([*graph.kc_nodes, *graph.io_nodes])
+    for _ in range(count):
+        graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice((CALL, FEEDS, YIELDS)))
+
+
 def oracle_call_cycles(graph: DependencyGraph) -> list[tuple[str, ...]]:
     """Every simple CALL cycle, each rooted at its smallest node id so it
     is listed exactly once. Exponential in the worst case and recursive

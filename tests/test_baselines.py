@@ -13,6 +13,7 @@ from sgkr.baselines import (
     cosine,
     evaluate,
     format_eval_table,
+    lexical_ranker,
     load_gold,
     load_vectors,
     node_document_tokens,
@@ -122,6 +123,31 @@ class TestRetrieveTopk:
         graph = small_graph(make_node("b"), make_node("a"), make_node("c"))
         assert retrieve_topk("q", graph, 2, scorer="vectors", vectors=vectors) == ["a", "b"]
 
+    def test_ranker_built_once_per_graph(self, fee_graph):
+        ranker = lexical_ranker(fee_graph)
+        retrieve_topk(FEE_QUESTION, fee_graph, 3)
+        retrieve_topk("another question", fee_graph, 3)
+        assert lexical_ranker(fee_graph) is ranker
+
+    def test_memoized_scores_are_bit_identical(self, fee_graph):
+        nodes = sorted(fee_graph.kc_nodes.values(), key=lambda n: n.function_name)
+        fresh = LexicalRanker(nodes)
+        question = FEE_QUESTION + " fee fee rule"  # repeated terms
+        ranked = lexical_ranker(fee_graph).rank(question)
+        assert ranked == fresh.rank(question)
+        assert ranked == sorted(((node.function_name, fresh.score(question, node.function_name))
+                                 for node in nodes), key=lambda item: (-item[1], item[0]))
+
+    def test_kc_nodes_mutation_seen_by_next_topk(self):
+        graph = small_graph(make_node("alpha"), make_node("beta"))
+        assert retrieve_topk("gamma", graph, 1) == ["alpha"]  # all tied at zero
+        graph.add_kc_node(make_node("gamma"))
+        assert retrieve_topk("gamma", graph, 1) == ["gamma"]
+        del graph.kc_nodes["kc:e:gamma"]
+        assert retrieve_topk("gamma", graph, 1) == ["alpha"]
+        graph.kc_nodes["kc:e:beta"].knowledge = "gamma"
+        assert retrieve_topk("gamma", graph, 1) == ["beta"]
+
     def test_budget_exact_for_both_scorers(self, fee_graph, fixture_dir):
         vectors = load_vectors(fixture_dir / "vectors.txt")
         for k in (1, 2, 5):
@@ -155,6 +181,12 @@ class TestVectors:
         path = tmp_path / "v.txt"
         path.write_text("not a number\nf\t1.0\n")
         with pytest.raises(SchemaViolation):
+            load_vectors(path)
+
+    def test_repeated_name_names_both_lines(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2\nf\t1.0 0.0\ng\t0.0 1.0\nf\t0.5 0.5\n")
+        with pytest.raises(SchemaViolation, match=r"line 4: 'f' already has a vector on line 2"):
             load_vectors(path)
 
     def test_cosine_zero_vector(self):

@@ -248,6 +248,43 @@ class TestEval:
         assert code != 0
 
 
+    def test_work_budget_note_on_stderr(self, graph_path, capsys, monkeypatch):
+        argv = ["eval", "--graph", graph_path, "--gold", GOLD, "--aliases", ALIASES,
+                "--methods", "sgkr,lexical"]
+        assert main(argv) == 0
+        unbudgeted = capsys.readouterr()
+        assert unbudgeted.err == ""
+        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 3)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        question = json.loads(open(GOLD, encoding="utf-8").read())[0]["question"]
+        assert f"note: search for {question!r} stopped at the work budget\n" in captured.err
+        assert "note:" not in captured.out
+
+    @pytest.mark.parametrize("record", [
+        {"question": "q", "needed": 5, "unneeded": []},
+        {"question": "q", "needed": [["a"]], "unneeded": []},
+        {"question": 5, "needed": [], "unneeded": []},
+    ], ids=["needed-int", "needed-nested-list", "question-int"])
+    def test_wrongly_typed_gold_is_error(self, graph_path, tmp_path, capsys, record):
+        bad = tmp_path / "gold.json"
+        bad.write_text(json.dumps([record]))
+        code = main(["eval", "--graph", graph_path, "--gold", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: gold[0]: ")
+        assert "Traceback" not in captured.err
+
+    def test_wrongly_typed_alias_label_is_error(self, graph_path, tmp_path, capsys):
+        bad = tmp_path / "aliases.json"
+        bad.write_text(json.dumps({"fee alias": {"label": 5, "kind": "input"}}))
+        code = main(["query", "--graph", graph_path, "--aliases", str(bad),
+                     "--question", FEE_QUESTION])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: alias 'fee alias': label must be a string\n"
+
+
 class TestInspect:
     def test_lists_nodes_and_edges(self, graph_path, capsys):
         code = main(["inspect", "--graph", graph_path])

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import FEE_NEEDED, FEE_QUESTION, FEE_UNNEEDED
-from oracles import oracle_bfs_paths, oracle_simple_paths, random_io_graph
+from oracles import add_malformed_edges, oracle_bfs_paths, oracle_simple_paths, random_io_graph
 from sgkr import retriever
 from sgkr.errors import UnknownNode
 from sgkr.graph import (
@@ -256,6 +256,141 @@ class TestAgainstRetiredSearch:
         ]
         graph.edges.discard(Edge("kc:e:f2", "io:output:end", YIELDS))
         assert retrieve(graph, tags).paths == ()
+
+
+def hub_graph(entries):
+    """Shaped like the benchmark's cli corpus: each entry has three steps
+    that call one shared hub and a root that calls its steps; a topic
+    input feeds and a topic output leaves every root, and the entry's own
+    input feeds its first step while its own output leaves the second."""
+    graph = DependencyGraph()
+    for name in ["hub"] + [f"{kind}{i}" for i in range(entries) for kind in ("s", "t", "u", "r")]:
+        graph.add_kc_node(KnowledgeCodeNode(
+            node_id=name, function_name=name, code=f"def {name}():\n    pass",
+            knowledge=name, origin_entries=("e",),
+        ))
+    for label, kind in [("topic", INPUT), ("topic", OUTPUT)] + [
+            (f"{side}{i}", kind) for i in range(entries)
+            for side, kind in (("in", INPUT), ("out", OUTPUT))]:
+        graph.add_io_node(IoNode(node_id=graph.io_node_id(label, kind), label=label, kind=kind))
+    for i in range(entries):
+        for step in (f"s{i}", f"t{i}", f"u{i}"):
+            graph.add_edge(step, "hub", CALL)
+            graph.add_edge(f"r{i}", step, CALL)
+        graph.add_edge("io:input:topic", f"r{i}", FEEDS)
+        graph.add_edge(f"r{i}", "io:output:topic", YIELDS)
+        graph.add_edge(f"io:input:in{i}", f"s{i}", FEEDS)
+        graph.add_edge(f"t{i}", f"io:output:out{i}", YIELDS)
+    return graph
+
+
+@pytest.fixture()
+def filter_from_start(monkeypatch):
+    """Switch the block filter on before a search's first expansion."""
+    monkeypatch.setattr(retriever, "_filter_point", lambda index: 0)
+
+
+@pytest.fixture()
+def filter_never(monkeypatch):
+    monkeypatch.setattr(retriever, "_filter_point", lambda index: float("inf"))
+
+
+class TestBlockFilter:
+    """The search confined to the biconnected blocks between its ends
+    must give what the unconfined search gives."""
+
+    @pytest.mark.parametrize("max_depth, max_paths", [(16, 64), (4, 3), (2, 1), (16, 10**6)])
+    def test_matches_retired_bfs(self, filter_from_start, max_depth, max_paths):
+        rng = random.Random(8200 + max_depth * 31 + max_paths % 97)
+        limits = RetrievalLimits(max_depth=max_depth, max_paths=max_paths)
+        for _ in range(1000):
+            graph, sources, targets = random_io_graph(rng)
+            stats = SearchStats()
+            got = find_paths(graph, sources, targets, limits, stats)
+            expected, truncated = oracle_bfs_paths(graph, sources, targets, max_depth, max_paths)
+            assert got == expected
+            assert stats.truncated_by_paths == truncated
+
+    def test_matches_retired_bfs_with_malformed_edges(self, filter_from_start):
+        rng = random.Random(8301)
+        for case in range(1000):
+            graph, sources, targets = random_io_graph(rng)
+            add_malformed_edges(rng, graph)
+            max_depth, max_paths = [(16, 64), (4, 3), (2, 1), (16, 10**6)][case % 4]
+            stats = SearchStats()
+            got = find_paths(graph, sources, targets, RetrievalLimits(max_depth, max_paths), stats)
+            expected, truncated = oracle_bfs_paths(graph, sources, targets, max_depth, max_paths)
+            assert got == expected
+            assert stats.truncated_by_paths == truncated
+
+    def test_blocks_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(8402)
+        for _ in range(300):
+            graph, _, _ = random_io_graph(rng)
+            add_malformed_edges(rng, graph, count=rng.randint(0, 6))
+            index = retriever.traversal_index(graph)
+            interior = index.moves.keys() & index.preds.keys()
+            undirected = nx.Graph()
+            undirected.add_nodes_from(interior)
+            undirected.add_edges_from(
+                (node, nxt) for node in interior for nxt in index.moves[node]
+                if nxt in interior and nxt != node)
+            expected = {frozenset(block) for block in nx.biconnected_components(undirected)}
+            assert {frozenset(block) for block in index.blocks.members} == expected
+
+    def test_hub_and_spoke_completes_with_filter(self, monkeypatch):
+        graph = hub_graph(30)
+        ends = ["io:input:in7"], ["io:output:out7"]
+        expected, _ = oracle_bfs_paths(graph, *ends, 16, 64)
+        assert [len(path.nodes) for path in expected] == [5, 5, 7, 7]
+        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 2_000)
+        with monkeypatch.context() as patch:
+            patch.setattr(retriever, "_filter_point", lambda index: float("inf"))
+            stats = SearchStats()
+            assert find_paths(graph, *ends, stats=stats) == expected
+            assert stats.truncated_by_budget
+        stats = SearchStats()
+        assert find_paths(graph, *ends, stats=stats) == expected
+        assert stats == SearchStats(nodes_expanded=stats.nodes_expanded, paths_found=4)
+        assert len(graph.edges) <= stats.nodes_expanded < 2_000
+
+    def test_chain_hanging_off_the_anchor_is_not_a_depth_truncation(self, filter_never):
+        # input -> a -> output, and a 20-node call chain hanging off `a`:
+        # no longer path exists, but every level prunes a step into the
+        # chain, whose distance to the output ignores simplicity.
+        chain = ["a"] + [f"c{i:02d}" for i in range(20)]
+        graph = kc_graph(chain, list(zip(chain, chain[1:])), feeds=["a"], yields=["a"])
+        stats = SearchStats()
+        assert len(find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats)) == 1
+        assert stats.truncated_by_depth and stats.nodes_expanded == 79
+
+    def test_chain_hanging_off_the_anchor_with_filter(self):
+        # 22 edges: the search crosses the filter point, and the chain is
+        # no block between the input's successor and the output's
+        # predecessor.
+        chain = ["a"] + [f"c{i:02d}" for i in range(20)]
+        graph = kc_graph(chain, list(zip(chain, chain[1:])), feeds=["a"], yields=["a"])
+        stats = SearchStats()
+        paths = find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats)
+        assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out")]
+        assert not stats.truncated_by_depth
+
+    @pytest.mark.parametrize("filter_point", [0, None])
+    def test_depth_flag_never_misses_a_longer_path(self, monkeypatch, filter_point):
+        if filter_point is not None:
+            monkeypatch.setattr(retriever, "_filter_point", lambda index: filter_point)
+        rng = random.Random(8503)
+        for case in range(1500):
+            graph, sources, targets = random_io_graph(rng)
+            if case % 2:
+                add_malformed_edges(rng, graph)
+            max_depth = 1 + case % 5
+            stats = SearchStats()
+            find_paths(graph, sources, targets, RetrievalLimits(max_depth, 10**6), stats)
+            longest = max(map(len, oracle_simple_paths(graph, sources, targets, 32)), default=0)
+            if longest - 1 > max_depth:
+                assert stats.truncated_by_depth
 
 
 class TestRetrieve:
