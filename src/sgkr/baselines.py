@@ -47,12 +47,8 @@ def text_tokens(text: str) -> list[str]:
 def code_identifier_tokens(code: str) -> list[str]:
     """Identifier tokens of a code body, keywords and bare numbers
     dropped, snake_case split."""
-    tokens = []
-    for word in _WORD_RE.findall(code):
-        if word in KEYWORDS or word.isdigit():
-            continue
-        tokens.extend(part for part in word.lower().split("_") if part)
-    return tokens
+    return [part for word in _WORD_RE.findall(code) if word not in KEYWORDS and not word.isdigit()
+            for part in word.lower().split("_") if part]
 
 
 def node_document_tokens(node: KnowledgeCodeNode) -> list[str]:

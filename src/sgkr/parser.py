@@ -4,8 +4,10 @@ The grammar is line-oriented:
 
 * a definition header is ``def name(p1, p2):`` at any indentation, with an
   optional trailing comment; parameters are plain identifiers,
-* a body is every following line indented deeper than the header (blank
-  lines inside the body are allowed),
+* a body is every following line indented deeper than the header, up to
+  the next code line at or left of the header's indentation; blank and
+  comment-only lines never end a body, and a comment-only line joins only
+  the bodies it is indented deeper than,
 * ``#`` starts a comment running to the end of the line,
 * string literals use single or double quotes and close on the same line,
 * a call is an identifier immediately followed by ``(``, outside strings
@@ -13,22 +15,33 @@ The grammar is line-oriented:
 
 Nested definitions are flattened: each one becomes its own FunctionDef,
 and a call inside a nested body is attributed to the innermost enclosing
-definition only.
+definition only. One pass over the lines keeps a stack of the open
+definitions and reports the first error in source order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import CorpusEntry
 from .errors import ParseError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEF_RE = re.compile(r"def\b")
 _HEADER_RE = re.compile(
-    r"^(?P<indent>[ \t]*)def\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"^[ \t]*def\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"\s*\((?P<params>[^()#]*)\)\s*:\s*(?:#.*)?$"
 )
+# One token of a body line. finditer tries the alternatives at each
+# position in turn and skips a character none of them matches.
+_TOKEN_RE = re.compile(r"""
+    \#.*                                # a comment runs to the end of the line
+  | "[^"]*" | '[^']*'                   # a closed string literal
+  | (?P<open>["'])                      # a quote that never closes
+  | (?P<skip>\.?(?:def\s+)*)            # an attribute, or a name right after `def`
+    (?P<name>[A-Za-z_][A-Za-z0-9_]*)(?P<call>\()?
+""", re.VERBOSE)
 
 KEYWORDS = frozenset({
     "and", "as", "assert", "break", "class", "continue", "def", "del",
@@ -50,7 +63,6 @@ class FunctionDef:
     body_text: str
     calls: tuple[str, ...]
     text: str
-    line: int  # 1-based header line, for diagnostics
 
 
 @dataclass(frozen=True)
@@ -63,141 +75,87 @@ class TraceFragment:
     call_edges: tuple[tuple[str, str], ...]
 
 
-def _line_starts(source_text: str) -> list[int]:
-    starts = [0]
-    for i, ch in enumerate(source_text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
+@dataclass
+class _Definition:
+    """A definition while it is parsed: offsets into the source text and
+    its calls so far (a dict keeps first-occurrence order)."""
+
+    name: str
+    params: tuple[str, ...]
+    indent: int
+    line_no: int
+    start: int
+    body_start: int | None = None
+    body_end: int = 0
+    calls: dict[str, None] = field(default_factory=dict)
 
 
-def _indent_width(line: str) -> int:
-    return len(line) - len(line.lstrip(" \t"))
-
-
-def _scan_calls(line: str, line_no: int) -> list[str]:
-    """Callee names on one line, honoring strings and comments."""
-    calls = []
-    i = 0
-    prev_token = ""
-    while i < len(line):
-        ch = line[i]
-        if ch == "#":
-            break
-        if ch in "'\"":
-            closing = line.find(ch, i + 1)
-            if closing == -1:
-                raise ParseError("unterminated string literal", line_no, i + 1)
-            i = closing + 1
-            prev_token = ""
-            continue
-        match = _IDENT_RE.match(line, i)
-        if match:
-            name = match.group()
-            end = match.end()
-            is_attribute = i > 0 and line[i - 1] == "."
-            is_call = end < len(line) and line[end] == "("
-            if is_call and not is_attribute and name not in KEYWORDS and prev_token != "def":
-                calls.append(name)
-            prev_token = name
-            i = end
-            continue
-        if not ch.isspace():
-            prev_token = ""
-        i += 1
-    return calls
-
-
-def _parse_header(line: str, line_no: int) -> tuple[str, str, tuple[str, ...]]:
+def _parse_header(line: str, line_no: int, indent: int, start: int) -> _Definition:
     match = _HEADER_RE.match(line)
     if not match:
-        raise ParseError("bad definition header", line_no, _indent_width(line) + 1)
-    params_text = match.group("params").strip()
-    params = []
-    if params_text:
-        for piece in params_text.split(","):
-            piece = piece.strip()
-            if not _IDENT_RE.fullmatch(piece):
-                col = line.index(match.group("params")) + 1
-                raise ParseError(f"bad parameter {piece!r}", line_no, col)
-            params.append(piece)
-    return match.group("indent"), match.group("name"), tuple(params)
+        raise ParseError("bad definition header", line_no, indent + 1)
+    text = match["params"]
+    params = tuple(piece.strip() for piece in text.split(",")) if text.strip() else ()
+    for piece in params:
+        if not _IDENT_RE.fullmatch(piece):
+            raise ParseError(f"bad parameter {piece!r}", line_no, line.index(text) + 1)
+    return _Definition(match["name"], params, indent, line_no, start)
+
+
+def _close(definition: _Definition) -> None:
+    if definition.body_start is None:
+        raise ParseError(f"definition of {definition.name!r} has no body",
+                         definition.line_no, definition.indent + 1)
 
 
 def extract_functions(source_text: str) -> list[FunctionDef]:
     """Parse source text into its function definitions, in source order.
 
     Body slices are exact substrings of `source_text`. Raises ParseError
-    on grammar violations (bad header, definition without a body,
-    unterminated string).
+    on the first grammar violation in source order (bad header,
+    definition without a body, unterminated string).
     """
-    lines = source_text.split("\n")
-    starts = _line_starts(source_text)
-
-    # Pass 1: locate definitions and their body line ranges.
-    headers = []  # (index, line_no, indent, name, params)
-    for idx, line in enumerate(lines):
-        if re.match(r"^[ \t]*def\b", line):
-            indent, name, params = _parse_header(line, idx + 1)
-            headers.append((idx, idx + 1, len(indent), name, params))
-
-    defs: list[dict] = []
-    for idx, line_no, indent, name, params in headers:
-        first_body = None
-        last_body = None
-        scan = idx + 1
-        while scan < len(lines):
-            line = lines[scan]
-            if not line.strip():
-                scan += 1
-                continue
-            if _indent_width(line) <= indent:
+    definitions: list[_Definition] = []
+    open_defs: list[_Definition] = []  # outermost first; indents strictly increase
+    end = -1
+    for line_no, line in enumerate(source_text.split("\n"), 1):
+        start, end = end + 1, end + 1 + len(line)
+        code = line.lstrip(" \t")
+        if not code.strip():
+            continue
+        indent = len(line) - len(code)
+        is_comment = code.startswith("#")
+        while not is_comment and open_defs and indent <= open_defs[-1].indent:
+            _close(open_defs.pop())
+        for definition in open_defs:
+            if definition.indent >= indent:
                 break
-            if first_body is None:
-                first_body = scan
-            last_body = scan
-            scan += 1
-        if first_body is None:
-            raise ParseError(f"definition of {name!r} has no body", line_no, indent + 1)
-        defs.append({
-            "name": name, "params": params, "line": line_no,
-            "header_idx": idx, "first": first_body, "last": last_body,
-        })
-
-    # Pass 2: attribute each line to its innermost definition. Definitions
-    # appear in header order, so a nested def always comes after its
-    # encloser and simply overwrites the ownership of its own range.
-    owner = [-1] * len(lines)
-    for d_index, d in enumerate(defs):
-        for line_idx in range(d["first"], d["last"] + 1):
-            owner[line_idx] = d_index
-
-    header_lines = {d["header_idx"] for d in defs}
-    for d_index, d in enumerate(defs):
-        calls: list[str] = []
-        seen: set[str] = set()
-        for line_idx in range(d["first"], d["last"] + 1):
-            if owner[line_idx] != d_index or line_idx in header_lines:
-                continue
-            for name in _scan_calls(lines[line_idx], line_idx + 1):
-                if name not in seen:
-                    seen.add(name)
-                    calls.append(name)
-        d["calls"] = tuple(calls)
-
-    result = []
-    for d in defs:
-        body_start = starts[d["first"]]
-        body_end = starts[d["last"]] + len(lines[d["last"]])
-        result.append(FunctionDef(
-            name=d["name"],
-            params=d["params"],
-            body_text=source_text[body_start:body_end],
-            calls=d["calls"],
-            text=source_text[starts[d["header_idx"]]:body_end],
-            line=d["line"],
-        ))
-    return result
+            if definition.body_start is None:
+                definition.body_start = start
+            definition.body_end = end
+        if is_comment:
+            continue
+        if _DEF_RE.match(code):
+            open_defs.append(_parse_header(line, line_no, indent, start))
+            definitions.append(open_defs[-1])
+        elif open_defs:
+            for token in _TOKEN_RE.finditer(line):
+                if token["open"]:
+                    raise ParseError("unterminated string literal", line_no, token.start() + 1)
+                if token["call"] and not token["skip"] and token["name"] not in KEYWORDS:
+                    open_defs[-1].calls[token["name"]] = None
+    for definition in reversed(open_defs):
+        _close(definition)
+    return [
+        FunctionDef(
+            name=d.name,
+            params=d.params,
+            body_text=source_text[d.body_start:d.body_end],
+            calls=tuple(d.calls),
+            text=source_text[d.start:d.body_end],
+        )
+        for d in definitions
+    ]
 
 
 def build_trace_fragment(entry: CorpusEntry) -> TraceFragment:

@@ -7,6 +7,7 @@ that tests compare two separately written routes to the same answer.
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict
 
 from sgkr.graph import (
@@ -20,6 +21,8 @@ from sgkr.graph import (
     IoNode,
     KnowledgeCodeNode,
 )
+from sgkr.errors import ParseError
+from sgkr.parser import KEYWORDS, FunctionDef
 from sgkr.retriever import DependencyPath, PathEdge
 
 KNOWLEDGE_SEP = "\n\n"
@@ -310,3 +313,139 @@ def random_call_graph(rng: random.Random, max_kc: int = 9) -> DependencyGraph:
             if rng.random() < density:
                 graph.add_edge(src, dst, CALL)
     return graph
+
+
+_ORACLE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ORACLE_HEADER_RE = re.compile(
+    r"^(?P<indent>[ \t]*)def\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*\((?P<params>[^()#]*)\)\s*:\s*(?:#.*)?$"
+)
+
+
+def _oracle_indent_width(line: str) -> int:
+    return len(line) - len(line.lstrip(" \t"))
+
+
+def _oracle_scan_calls(line: str, line_no: int) -> list[str]:
+    """Callee names on one line, one character at a time."""
+    calls = []
+    i = 0
+    prev_token = ""
+    while i < len(line):
+        ch = line[i]
+        if ch == "#":
+            break
+        if ch in "'\"":
+            closing = line.find(ch, i + 1)
+            if closing == -1:
+                raise ParseError("unterminated string literal", line_no, i + 1)
+            i = closing + 1
+            prev_token = ""
+            continue
+        match = _ORACLE_IDENT_RE.match(line, i)
+        if match:
+            name = match.group()
+            end = match.end()
+            is_attribute = i > 0 and line[i - 1] == "."
+            is_call = end < len(line) and line[end] == "("
+            if is_call and not is_attribute and name not in KEYWORDS and prev_token != "def":
+                calls.append(name)
+            prev_token = name
+            i = end
+            continue
+        if not ch.isspace():
+            prev_token = ""
+        i += 1
+    return calls
+
+
+def _oracle_parse_header(line: str, line_no: int) -> tuple[str, str, tuple[str, ...]]:
+    match = _ORACLE_HEADER_RE.match(line)
+    if not match:
+        raise ParseError("bad definition header", line_no, _oracle_indent_width(line) + 1)
+    params_text = match.group("params").strip()
+    params = []
+    if params_text:
+        for piece in params_text.split(","):
+            piece = piece.strip()
+            if not _ORACLE_IDENT_RE.fullmatch(piece):
+                col = line.index(match.group("params")) + 1
+                raise ParseError(f"bad parameter {piece!r}", line_no, col)
+            params.append(piece)
+    return match.group("indent"), match.group("name"), tuple(params)
+
+
+def oracle_extract_functions(source_text: str) -> list[FunctionDef]:
+    """The retired two-pass parser. Pass 1 validates every header and
+    scans forward from each one for its body line range; pass 2 gives
+    each line to the innermost definition whose range covers it and
+    scans it for calls. Every header error is raised before any other
+    error, and a comment-only line at or left of a header's indentation
+    ends that definition's body."""
+    lines = source_text.split("\n")
+    starts = [0]
+    for i, ch in enumerate(source_text):
+        if ch == "\n":
+            starts.append(i + 1)
+
+    headers = []  # (index, line_no, indent, name, params)
+    for idx, line in enumerate(lines):
+        if re.match(r"^[ \t]*def\b", line):
+            indent, name, params = _oracle_parse_header(line, idx + 1)
+            headers.append((idx, idx + 1, len(indent), name, params))
+
+    defs: list[dict] = []
+    for idx, line_no, indent, name, params in headers:
+        first_body = None
+        last_body = None
+        scan = idx + 1
+        while scan < len(lines):
+            line = lines[scan]
+            if not line.strip():
+                scan += 1
+                continue
+            if _oracle_indent_width(line) <= indent:
+                break
+            if first_body is None:
+                first_body = scan
+            last_body = scan
+            scan += 1
+        if first_body is None:
+            raise ParseError(f"definition of {name!r} has no body", line_no, indent + 1)
+        defs.append({
+            "name": name, "params": params,
+            "header_idx": idx, "first": first_body, "last": last_body,
+        })
+
+    # Definitions appear in header order, so a nested def always comes
+    # after its encloser and overwrites the ownership of its own range.
+    owner = [-1] * len(lines)
+    for d_index, d in enumerate(defs):
+        for line_idx in range(d["first"], d["last"] + 1):
+            owner[line_idx] = d_index
+
+    header_lines = {d["header_idx"] for d in defs}
+    for d_index, d in enumerate(defs):
+        calls: list[str] = []
+        seen: set[str] = set()
+        for line_idx in range(d["first"], d["last"] + 1):
+            if owner[line_idx] != d_index or line_idx in header_lines:
+                continue
+            for name in _oracle_scan_calls(lines[line_idx], line_idx + 1):
+                if name not in seen:
+                    seen.add(name)
+                    calls.append(name)
+        d["calls"] = tuple(calls)
+
+    result = []
+    for d in defs:
+        body_start = starts[d["first"]]
+        body_end = starts[d["last"]] + len(lines[d["last"]])
+        result.append(FunctionDef(
+            name=d["name"],
+            params=d["params"],
+            body_text=source_text[body_start:body_end],
+            calls=d["calls"],
+            text=source_text[starts[d["header_idx"]]:body_end],
+        ))
+    return result

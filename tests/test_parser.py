@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from oracles import oracle_extract_functions
 
 from sgkr.corpus import CorpusEntry, IoSpec
 from sgkr.errors import ParseError
@@ -78,6 +79,26 @@ class TestExtractFunctions:
         assert [fn.name for fn in defs] == ["f", "g"]
         assert defs[0].body_text == "    a = 1\n\n    return a"
 
+    def test_mid_body_comment_at_column_zero_keeps_the_body(self):
+        source = "def f(x):\n    y = g(x)\n# note\n    return h(y)\n"
+        fn = extract_functions(source)[0]
+        assert fn.calls == ("g", "h")
+        assert fn.body_text == "    y = g(x)\n# note\n    return h(y)"
+
+    def test_comment_between_header_and_body(self):
+        source = "def f(x):\n# note\n    return g(x)\n"
+        fn = extract_functions(source)[0]
+        assert fn.calls == ("g",)
+        assert fn.body_text == "    return g(x)"
+        assert fn.text == source.rstrip("\n")
+
+    def test_trailing_shallow_comment_stays_outside(self):
+        source = "def f(x):\n    return g(x)\n# end of f\n\ndef h():\n    return 1\n"
+        defs = extract_functions(source)
+        assert [fn.name for fn in defs] == ["f", "h"]
+        assert defs[0].body_text == "    return g(x)"
+        assert defs[0].text == "def f(x):\n    return g(x)"
+
     def test_fee_fixture_entry_one(self, fee_corpus):
         defs = extract_functions(fee_corpus.entries[0].source_text)
         assert {fn.name for fn in defs} == {
@@ -115,6 +136,12 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             extract_functions('def f():\n    s = "oops\n    return s\n')
         assert err.value.line == 2
+
+    def test_first_error_in_source_order(self):
+        source = 'def f():\n    s = "oops\n    return s\n\ndef 9(x):\n    return x\n'
+        with pytest.raises(ParseError) as err:
+            extract_functions(source)
+        assert (err.value.line, err.value.col) == (2, 9)
 
 
 def call_edges(source: str) -> tuple[tuple[str, str], ...]:
@@ -228,3 +255,71 @@ class TestGrammarCompleteness:
             for fn in extract_functions(entry.source_text):
                 for callee in fn.calls:
                     assert re.search(rf"\b{callee}\(", fn.body_text)
+
+
+def parse_outcome(parse, source: str):
+    """("ok", definitions) or ("error", (line, col))."""
+    try:
+        return "ok", parse(source)
+    except ParseError as err:
+        return "error", (err.line, err.col)
+
+
+HEADER_POOL = (
+    "def f(x):", "def g():", "def h(a, b):  # takes two", "def\tk( a ):",
+    "def 9(x):", "def f(x)", "def f(x=1):", "def(", "def f(a,):", 'def f("):',
+)
+BODY_POOL = (
+    "x = g(1)", "return h(x)", 's = "f(1)"', "t = 'oops", "y = 1  # g(2)",
+    "9abc(1)", "obj.m(2)", "not(x)", "u = \"a\" + k(3)", "q = 'a' 'b' f(",
+    "def g ( x ):", "defx = 1", "", "   ",
+)
+INDENT_POOL = ("", "  ", "    ", "\t", "        ", "\t\t")
+# Deeper than any header above; shallow comments have their own tests.
+DEEP_COMMENT = " " * 12 + "# note g(1) 'x"
+
+
+def fuzz_source(rng: random.Random) -> str:
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if kind < 0.3:
+            lines.append(rng.choice(INDENT_POOL) + rng.choice(HEADER_POOL))
+        elif kind < 0.9:
+            lines.append(rng.choice(INDENT_POOL) + rng.choice(BODY_POOL))
+        else:
+            lines.append(DEEP_COMMENT)
+    return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
+
+
+class TestAgainstRetiredParser:
+    """The one-pass parser against the retired two-pass one
+    (`oracles.oracle_extract_functions`)."""
+
+    def test_fee_sources(self, fee_corpus):
+        for entry in fee_corpus.entries:
+            source = entry.source_text
+            assert extract_functions(source) == oracle_extract_functions(source)
+
+    def test_generated_programs(self):
+        rng = random.Random(20240811)
+        for _ in range(300):
+            source, _, _ = generate_program(rng)
+            assert extract_functions(source) == oracle_extract_functions(source)
+
+    def test_fuzzed_sources(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(20_000):
+            source = fuzz_source(rng)
+            new, expected = parse_outcome(extract_functions, source), parse_outcome(
+                oracle_extract_functions, source)
+            assert new[0] == expected[0], source
+            if new[0] == "ok":
+                assert new == expected, source
+            else:
+                # The one-pass parser reports the first error in source
+                # order; the retired one reported header errors first.
+                assert new[1] <= expected[1], source
+            outcomes.add(new[0])
+        assert outcomes == {"ok", "error"}
