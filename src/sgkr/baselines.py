@@ -5,8 +5,10 @@ ranker over each node's name, knowledge and code identifiers, and a
 cosine ranker over externally supplied vectors. The lexical index (node
 documents tokenized, term counts, idf) is built once per graph and
 memoized on it, so an evaluation tokenizes the corpus once, not once per
-question. The harness scores any retrieved name set against gold
-needed/unneeded annotations.
+question; both rankers take their name-sorted node list from it. A
+vector store computes each vector's norm once, when it is made. The
+harness scores any retrieved name set against gold needed/unneeded
+annotations.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -70,10 +72,10 @@ class LexicalRanker:
     def __init__(self, nodes: Sequence[KnowledgeCodeNode], k1: float = BM25_K1, b: float = BM25_B):
         self.k1 = k1
         self.b = b
-        self._names = [node.function_name for node in nodes]
+        self.names = [node.function_name for node in nodes]
         docs = [node_document_tokens(node) for node in nodes]
-        self._term_freqs = {name: Counter(doc) for name, doc in zip(self._names, docs)}
-        self._doc_lens = {name: len(doc) for name, doc in zip(self._names, docs)}
+        self._term_freqs = {name: Counter(doc) for name, doc in zip(self.names, docs)}
+        self._doc_lens = {name: len(doc) for name, doc in zip(self.names, docs)}
         n_docs = len(docs)
         self._avgdl = (sum(self._doc_lens.values()) / n_docs) if n_docs else 0.0
         doc_freq = Counter()
@@ -103,7 +105,7 @@ class LexicalRanker:
 
     def rank(self, question: str) -> list[tuple[str, float]]:
         terms = text_tokens(question)
-        scored = [(name, self._score(terms, name)) for name in self._names]
+        scored = [(name, self._score(terms, name)) for name in self.names]
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored
 
@@ -123,16 +125,30 @@ def lexical_ranker(graph: DependencyGraph) -> LexicalRanker:
 @dataclass(frozen=True)
 class VectorStore:
     """Precomputed vectors keyed by name (function names for nodes, the
-    literal question string for queries)."""
+    literal question string for queries), with each vector's norm."""
 
     dimension: int
     vectors: dict[str, tuple[float, ...]]
+    _norms: dict[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_norms", {name: _norm(vector)
+                                            for name, vector in self.vectors.items()})
 
     def get(self, name: str) -> tuple[float, ...]:
         try:
             return self.vectors[name]
         except KeyError:
             raise MissingVector(f"no vector for {name!r}") from None
+
+    def rank(self, question: str, names: Sequence[str]) -> list[tuple[str, float]]:
+        """`names` with their cosine to the question's vector, highest
+        first, ties by name."""
+        query, query_norm = self.get(question), self._norms[question]
+        scored = [(name, _cosine(query, query_norm, self.get(name), self._norms[name]))
+                  for name in names]
+        scored.sort(key=lambda item: (-item[1], item[0]))
+        return scored
 
 
 def load_vectors(path: str | Path) -> VectorStore:
@@ -172,13 +188,18 @@ def load_vectors(path: str | Path) -> VectorStore:
     return VectorStore(dimension=dimension, vectors=vectors)
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(y * y for y in b))
+def _norm(vector: Sequence[float]) -> float:
+    return math.sqrt(sum(x * x for x in vector))
+
+
+def _cosine(a: Sequence[float], norm_a: float, b: Sequence[float], norm_b: float) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    return dot / (norm_a * norm_b)
+    return sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
+
+
+def cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    return _cosine(a, _norm(a), b, _norm(b))
 
 
 def retrieve_topk(
@@ -197,12 +218,7 @@ def retrieve_topk(
     elif scorer == "vectors":
         if vectors is None:
             raise ValueError("scorer 'vectors' requires a VectorStore")
-        nodes = sorted(graph.kc_nodes.values(), key=lambda node: node.function_name)
-        query = vectors.get(question)
-        scored = [(node.function_name, cosine(query, vectors.get(node.function_name)))
-                  for node in nodes]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        ranked = scored
+        ranked = vectors.rank(question, lexical_ranker(graph).names)
     else:
         raise ValueError(f"unknown scorer {scorer!r}")
     return [name for name, _ in ranked[:k]]

@@ -3,14 +3,26 @@
 A bundle pairs every retrieved function with its knowledge text, ordered
 so that callees precede their callers (reading the code bottom-up), and
 renders into the two fixed prompt sections a downstream model consumes.
+
+The order is Kahn's algorithm over the CALL edges inside the subgraph,
+with a heap keyed (function name, node id): of the nodes whose callees
+are all placed, the smallest comes next. When none is ready (a recursive
+knot, or a function that calls itself) the smallest remaining node comes
+next, its callees placed or not. The edges are read from the subgraph
+nodes' neighbours in the graph's memoized traversal index, so the order
+costs time in the subgraph and its neighbourhood, not in the graph's
+edges. Resolving names still passes once over the knowledge-code nodes:
+a loaded document may repeat a function name, and a repeated name keeps
+resolving to its last node.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .graph import CALL, DependencyGraph
-from .retriever import DependencyPath, RetrievalResult
+from .graph import CALL, DependencyGraph, KnowledgeCodeNode
+from .retriever import DependencyPath, RetrievalResult, traversal_index
 
 KNOWLEDGE_HEADER = "Following domain knowledge and context should be helpful:"
 FUNCTIONS_HEADER = "Here are some example functions that you may refer to:"
@@ -27,45 +39,62 @@ class ContextBundle:
     source_paths: tuple[DependencyPath, ...]
 
 
-def _topological_names(result: RetrievalResult, graph: DependencyGraph) -> list[str]:
-    """Subgraph function names with callees before callers, ties and any
-    recursive knots broken by name order."""
-    kc_ids = [nid for nid in result.subgraph_nodes if nid in graph.kc_nodes]
-    names = {nid: graph.kc_nodes[nid].function_name for nid in kc_ids}
-    id_set = set(kc_ids)
+def _topological_order(result: RetrievalResult, graph: DependencyGraph) -> list[str]:
+    """Subgraph knowledge-code node ids with callees before callers, ties
+    and any recursive knots broken by (function name, node id)."""
+    kc_nodes = graph.kc_nodes
+    keys = {nid: (kc_nodes[nid].function_name, nid)
+            for nid in result.subgraph_nodes if nid in kc_nodes}
+    index = traversal_index(graph)
 
     # Pending callee count per node, over CALL edges inside the subgraph.
-    pending = {nid: 0 for nid in kc_ids}
-    callers: dict[str, list[str]] = {nid: [] for nid in kc_ids}
-    for edge in graph.edges:
-        if edge.type == CALL and edge.src in id_set and edge.dst in id_set:
-            pending[edge.src] += 1
-            callers[edge.dst].append(edge.src)
+    pending = dict.fromkeys(keys, 0)
+    callers: dict[str, list[str]] = {nid: [] for nid in keys}
+    for nid in keys:
+        for neighbor in index.moves.get(nid, ()):
+            if neighbor in keys and (nid, neighbor, CALL) in index.edges:
+                pending[nid] += 1
+                callers[neighbor].append(nid)
 
+    ready = [keys[nid] for nid, count in pending.items() if count == 0]
+    heapq.heapify(ready)
     ordered: list[str] = []
-    remaining = set(kc_ids)
-    while remaining:
-        ready = [nid for nid in remaining if pending[nid] == 0]
-        pool = ready if ready else list(remaining)  # cycle: fall back to name order
-        chosen = min(pool, key=lambda nid: (names[nid], nid))
+    while keys:
+        # A knot: nothing is ready, so the smallest remaining node goes next.
+        _, chosen = heapq.heappop(ready) if ready else min(keys.values())
         ordered.append(chosen)
-        remaining.discard(chosen)
+        del keys[chosen]
         for caller in callers[chosen]:
-            if caller in remaining:
+            if caller in keys:
                 pending[caller] -= 1
-    return [names[nid] for nid in ordered]
+                if pending[caller] == 0:
+                    heapq.heappush(ready, keys[caller])
+    return ordered
+
+
+def _last_node_by_name(graph: DependencyGraph, names: list[str]) -> dict[str, KnowledgeCodeNode]:
+    """Each name's last node in `graph.kc_nodes` order, which may lie
+    outside the subgraph when the name is repeated."""
+    wanted = set(names)
+    nodes = {}
+    for node in graph.kc_nodes.values():
+        if node.function_name in wanted:
+            nodes[node.function_name] = node
+    return nodes
 
 
 def assemble_context(result: RetrievalResult, graph: DependencyGraph) -> ContextBundle:
     """One (knowledge, code) entry per retrieved knowledge-code node;
-    I/O nodes are ignored. A fallback result gives an empty bundle."""
+    I/O nodes are ignored. A fallback result gives an empty bundle.
+    Where several nodes share a function name, the name's entries come
+    from the last of them in `graph.kc_nodes` order."""
     if result.fallback:
         return ContextBundle(knowledge_texts=(), code_examples=(), source_paths=())
 
-    by_name = {node.function_name: node for node in graph.kc_nodes.values()}
-    ordered = _topological_names(result, graph)
-    knowledge = tuple((name, by_name[name].knowledge) for name in ordered)
-    code = tuple((name, by_name[name].code) for name in ordered)
+    names = [graph.kc_nodes[nid].function_name for nid in _topological_order(result, graph)]
+    nodes = _last_node_by_name(graph, names)
+    knowledge = tuple((name, nodes[name].knowledge) for name in names)
+    code = tuple((name, nodes[name].code) for name in names)
     return ContextBundle(
         knowledge_texts=knowledge,
         code_examples=code,

@@ -37,9 +37,10 @@ def normalize_label(text: str) -> str:
 
 
 def label_tokens(text: str) -> tuple[str, ...]:
-    """Token sequence of a normalized label or question."""
-    normalized = normalize_label(text)
-    return tuple(normalized.split()) if normalized else ()
+    """Token sequence of a normalized label or question. `str.split`
+    splits on the whitespace `_WS_RE` collapses, so only the punctuation
+    pass of `normalize_label` is needed."""
+    return tuple(_PUNCT_RE.sub(" ", text.lower()).split())
 
 
 @dataclass(frozen=True)

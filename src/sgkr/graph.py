@@ -98,9 +98,6 @@ class DependencyGraph:
     def io_node_id(self, label: str, kind: str) -> str:
         return f"io:{kind}:{label}"
 
-    def find_io_node(self, label: str, kind: str) -> IoNode | None:
-        return self.io_nodes.get(self.io_node_id(label, kind))
-
     def copy(self) -> DependencyGraph:
         return DependencyGraph(
             kc_nodes={nid: replace(node) for nid, node in self.kc_nodes.items()},

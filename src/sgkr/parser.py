@@ -95,11 +95,17 @@ def _parse_header(line: str, line_no: int, indent: int, start: int) -> _Definiti
     if not match:
         raise ParseError("bad definition header", line_no, indent + 1)
     text = match["params"]
-    params = tuple(piece.strip() for piece in text.split(",")) if text.strip() else ()
-    for piece in params:
-        if not _IDENT_RE.fullmatch(piece):
-            raise ParseError(f"bad parameter {piece!r}", line_no, line.index(text) + 1)
-    return _Definition(match["name"], params, indent, line_no, start)
+    params = []
+    if text.strip():
+        at = match.start("params")  # where the next piece starts
+        for raw in text.split(","):
+            piece = raw.strip()
+            if not _IDENT_RE.fullmatch(piece):
+                col = at + len(raw) - len(raw.lstrip()) + 1
+                raise ParseError(f"bad parameter {piece!r}", line_no, col)
+            params.append(piece)
+            at += len(raw) + 1
+    return _Definition(match["name"], tuple(params), indent, line_no, start)
 
 
 def _close(definition: _Definition) -> None:

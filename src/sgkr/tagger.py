@@ -5,12 +5,21 @@ by an alias file. A label matches a question when its token sequence (or
 an alias's) occurs contiguously in the normalized question; longer labels
 win contested token spans. Input and output labels are matched
 independently, so one token span may serve both sides.
+
+Making a `TagVocabulary` compiles each kind's labels and aliases once into
+one table per pattern width, mapping a token tuple to its label (the
+smallest label, where one tuple belongs to several). A question then costs
+one table lookup per window per distinct width, longest width first, not
+one pass per label: O(tokens x widths), whatever the vocabulary's size.
+Within one width the hits are taken in (pattern, position) order and a
+hit on a span an earlier one consumed is skipped, so the result is that
+of trying every pattern longest first, ties lexically, left to right.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import label_tokens, normalize_label, read_text
@@ -18,13 +27,23 @@ from .errors import AliasCollision, MissingFile, SchemaViolation
 from .graph import INPUT, OUTPUT, DependencyGraph
 
 
+# One kind's compiled matcher: (width, {token tuple: label}) pairs, the
+# widest first.
+_Tables = tuple[tuple[int, dict[tuple[str, ...], str]], ...]
+
+
 @dataclass(frozen=True)
 class TagVocabulary:
     """Known labels by kind; each label maps to its (possibly empty)
-    tuple of normalized aliases."""
+    tuple of normalized aliases. Both kinds' matchers are compiled when
+    the vocabulary is made; change the dicts in place and they go stale."""
 
     inputs: dict[str, tuple[str, ...]]
     outputs: dict[str, tuple[str, ...]]
+    _tables: tuple[_Tables, _Tables] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_tables", (_compile(self.inputs), _compile(self.outputs)))
 
 
 @dataclass(frozen=True)
@@ -96,35 +115,32 @@ def build_vocabulary(
     )
 
 
-def _match_side(tokens: tuple[str, ...], side: dict[str, tuple[str, ...]]) -> frozenset[str]:
-    """Greedy longest-first contiguous matching over one kind's labels.
-
-    Every label and alias is a token pattern; patterns are tried longest
-    first (ties broken lexically) and a matched span is consumed, so a
-    shorter pattern cannot reuse it.
-    """
-    patterns: list[tuple[tuple[str, ...], str]] = []
+def _compile(side: dict[str, tuple[str, ...]]) -> _Tables:
+    """One table per pattern width over a kind's labels and aliases."""
+    tables: dict[int, dict[tuple[str, ...], str]] = {}
     for label, aliases in side.items():
-        patterns.append((label_tokens(label), label))
-        for alias in aliases:
-            patterns.append((label_tokens(alias), label))
-    patterns.sort(key=lambda item: (-len(item[0]), item[0], item[1]))
+        for text in (label, *aliases):
+            pattern = label_tokens(text)
+            if pattern:
+                table = tables.setdefault(len(pattern), {})
+                owner = table.get(pattern)
+                if owner is None or label < owner:
+                    table[pattern] = label
+    return tuple(sorted(tables.items(), key=lambda item: -item[0]))
 
+
+def _match(tokens: tuple[str, ...], tables: _Tables) -> frozenset[str]:
+    """Greedy longest-first contiguous matching over one kind's tables: a
+    matched span is consumed, so a later pattern cannot reuse it."""
     consumed = [False] * len(tokens)
     matched: set[str] = set()
-    for pattern, label in patterns:
-        width = len(pattern)
-        if width == 0:
-            continue
-        i = 0
-        while i + width <= len(tokens):
-            window = tokens[i:i + width]
-            if window == pattern and not any(consumed[i:i + width]):
+    for width, table in tables:
+        hits = sorted((window, i) for i in range(len(tokens) - width + 1)
+                      if (window := tokens[i:i + width]) in table)
+        for window, i in hits:
+            if not any(consumed[i:i + width]):
                 consumed[i:i + width] = [True] * width
-                matched.add(label)
-                i += width
-            else:
-                i += 1
+                matched.add(table[window])
     return frozenset(matched)
 
 
@@ -132,6 +148,5 @@ def extract_tags(question: str, vocab: TagVocabulary) -> TagSet:
     """Match a question against the vocabulary and flag fallback when
     either side comes up empty."""
     tokens = label_tokens(question)
-    inputs = _match_side(tokens, vocab.inputs)
-    outputs = _match_side(tokens, vocab.outputs)
+    inputs, outputs = (_match(tokens, tables) for tables in vocab._tables)
     return TagSet(inputs=inputs, outputs=outputs, fallback=not inputs or not outputs)

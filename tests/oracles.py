@@ -10,6 +10,8 @@ import random
 import re
 from collections import defaultdict
 
+from sgkr.context import ContextBundle
+from sgkr.corpus import normalize_label
 from sgkr.graph import (
     CALL,
     FEEDS,
@@ -23,7 +25,8 @@ from sgkr.graph import (
 )
 from sgkr.errors import ParseError
 from sgkr.parser import KEYWORDS, FunctionDef
-from sgkr.retriever import DependencyPath, PathEdge
+from sgkr.retriever import DependencyPath, PathEdge, RetrievalResult
+from sgkr.tagger import TagSet, TagVocabulary
 
 KNOWLEDGE_SEP = "\n\n"
 
@@ -366,13 +369,24 @@ def _oracle_parse_header(line: str, line_no: int) -> tuple[str, str, tuple[str, 
     params_text = match.group("params").strip()
     params = []
     if params_text:
-        for piece in params_text.split(","):
+        for piece_index, piece in enumerate(params_text.split(",")):
             piece = piece.strip()
             if not _ORACLE_IDENT_RE.fullmatch(piece):
-                col = line.index(match.group("params")) + 1
+                col = _oracle_piece_column(line, piece_index)
                 raise ParseError(f"bad parameter {piece!r}", line_no, col)
             params.append(piece)
     return match.group("indent"), match.group("name"), tuple(params)
+
+
+def _oracle_piece_column(line: str, piece_index: int) -> int:
+    """1-based column of a header's `piece_index`-th parameter: its first
+    non-blank character, or the comma or bracket ending it when blank."""
+    i = line.index("(") + 1
+    for _ in range(piece_index):
+        i = line.index(",", i) + 1
+    while line[i].isspace():
+        i += 1
+    return i + 1
 
 
 def oracle_extract_functions(source_text: str) -> list[FunctionDef]:
@@ -449,3 +463,91 @@ def oracle_extract_functions(source_text: str) -> list[FunctionDef]:
             text=source_text[starts[d["header_idx"]]:body_end],
         ))
     return result
+
+
+def oracle_label_tokens(text: str) -> tuple[str, ...]:
+    """Tokens of the normalized text: punctuation, case and whitespace runs
+    normalized away first, then split on single spaces."""
+    normalized = normalize_label(text)
+    return tuple(normalized.split(" ")) if normalized else ()
+
+
+def oracle_match_side(tokens: tuple[str, ...], side: dict[str, tuple[str, ...]]) -> frozenset[str]:
+    """The retired per-question matcher: every label and alias is a token
+    pattern, tried longest first (ties broken lexically) and slid over the
+    question left to right; a matched span is consumed, so a shorter
+    pattern cannot reuse it."""
+    patterns: list[tuple[tuple[str, ...], str]] = []
+    for label, aliases in side.items():
+        patterns.append((oracle_label_tokens(label), label))
+        for alias in aliases:
+            patterns.append((oracle_label_tokens(alias), label))
+    patterns.sort(key=lambda item: (-len(item[0]), item[0], item[1]))
+
+    consumed = [False] * len(tokens)
+    matched: set[str] = set()
+    for pattern, label in patterns:
+        width = len(pattern)
+        if width == 0:
+            continue
+        i = 0
+        while i + width <= len(tokens):
+            window = tokens[i:i + width]
+            if window == pattern and not any(consumed[i:i + width]):
+                consumed[i:i + width] = [True] * width
+                matched.add(label)
+                i += width
+            else:
+                i += 1
+    return frozenset(matched)
+
+
+def oracle_extract_tags(question: str, vocab: TagVocabulary) -> TagSet:
+    tokens = oracle_label_tokens(question)
+    inputs = oracle_match_side(tokens, vocab.inputs)
+    outputs = oracle_match_side(tokens, vocab.outputs)
+    return TagSet(inputs=inputs, outputs=outputs, fallback=not inputs or not outputs)
+
+
+def oracle_topological_names(result: RetrievalResult, graph: DependencyGraph) -> list[str]:
+    """The retired context order: a scan of every graph edge for the CALL
+    edges inside the subgraph, then at each step the smallest (name, id)
+    among the nodes whose callees are all placed, or among all remaining
+    nodes when none is."""
+    kc_ids = [nid for nid in result.subgraph_nodes if nid in graph.kc_nodes]
+    names = {nid: graph.kc_nodes[nid].function_name for nid in kc_ids}
+    id_set = set(kc_ids)
+
+    pending = {nid: 0 for nid in kc_ids}
+    callers: dict[str, list[str]] = {nid: [] for nid in kc_ids}
+    for edge in graph.edges:
+        if edge.type == CALL and edge.src in id_set and edge.dst in id_set:
+            pending[edge.src] += 1
+            callers[edge.dst].append(edge.src)
+
+    ordered: list[str] = []
+    remaining = set(kc_ids)
+    while remaining:
+        ready = [nid for nid in remaining if pending[nid] == 0]
+        pool = ready if ready else list(remaining)
+        chosen = min(pool, key=lambda nid: (names[nid], nid))
+        ordered.append(chosen)
+        remaining.discard(chosen)
+        for caller in callers[chosen]:
+            if caller in remaining:
+                pending[caller] -= 1
+    return [names[nid] for nid in ordered]
+
+
+def oracle_assemble_context(result: RetrievalResult, graph: DependencyGraph) -> ContextBundle:
+    """The retired bundle assembly: every name resolves through a map over
+    all knowledge-code nodes, so a repeated name takes its last node."""
+    if result.fallback:
+        return ContextBundle(knowledge_texts=(), code_examples=(), source_paths=())
+    by_name = {node.function_name: node for node in graph.kc_nodes.values()}
+    ordered = oracle_topological_names(result, graph)
+    return ContextBundle(
+        knowledge_texts=tuple((name, by_name[name].knowledge) for name in ordered),
+        code_examples=tuple((name, by_name[name].code) for name in ordered),
+        source_paths=result.paths,
+    )

@@ -39,6 +39,16 @@ def make_node(name, knowledge="", code=None):
     )
 
 
+def retired_cosine(a, b):
+    """The cosine as computed once per node pair, norms included."""
+    dot = sum(x * y for x, y in zip(a, b))
+    norm_a = math.sqrt(sum(x * x for x in a))
+    norm_b = math.sqrt(sum(y * y for y in b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
 def small_graph(*nodes):
     graph = DependencyGraph()
     for node in nodes:
@@ -137,6 +147,30 @@ class TestRetrieveTopk:
         assert ranked == fresh.rank(question)
         assert ranked == sorted(((node.function_name, fresh.score(question, node.function_name))
                                  for node in nodes), key=lambda item: (-item[1], item[0]))
+
+    @pytest.mark.parametrize("gold_set", ["fee", "cli"])
+    def test_vector_scores_are_bit_identical(self, gold_set, fee_graph, fixture_dir,
+                                             small_workloads):
+        """Norms computed once per store and the ranker's sorted names give
+        the very floats of a cosine per node over freshly sorted nodes."""
+        if gold_set == "fee":
+            graph, gold, vectors = (fee_graph, fixture_dir / "gold.json",
+                                    fixture_dir / "vectors.txt")
+        else:
+            graph, _, _, data = small_workloads["cli"]
+            gold, vectors = data.gold, data.vectors
+        store = load_vectors(vectors)
+        nodes = sorted(graph.kc_nodes.values(), key=lambda n: n.function_name)
+        for annotation in load_gold(gold):
+            query = store.get(annotation.question)
+            expected = sorted(((node.function_name,
+                                retired_cosine(query, store.get(node.function_name)))
+                               for node in nodes), key=lambda item: (-item[1], item[0]))
+            ranked = store.rank(annotation.question, lexical_ranker(graph).names)
+            assert [(name, score.hex()) for name, score in ranked] == \
+                [(name, score.hex()) for name, score in expected]
+            assert retrieve_topk(annotation.question, graph, len(nodes), scorer="vectors",
+                                 vectors=store) == [name for name, _ in expected]
 
     def test_kc_nodes_mutation_seen_by_next_topk(self):
         graph = small_graph(make_node("alpha"), make_node("beta"))

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import FEE_QUESTION
+from oracles import oracle_assemble_context
 from sgkr.context import (
     FUNCTIONS_HEADER,
     KNOWLEDGE_HEADER,
@@ -10,6 +13,9 @@ from sgkr.context import (
     assemble_context,
     bundle_to_dict,
     render_prompt_block,
+)
+from sgkr.graph import (
+    CALL, FEEDS, INPUT, OUTPUT, YIELDS, DependencyGraph, IoNode, KnowledgeCodeNode,
 )
 from sgkr.retriever import RetrievalResult, SearchStats, retrieve
 from sgkr.tagger import extract_tags
@@ -108,3 +114,68 @@ class TestStructuredExport:
         assert [item["function_name"] for item in payload["functions"]] == \
             [name for name, _ in fee_bundle.code_examples]
         assert payload["paths"] == [list(p.nodes) for p in fee_bundle.source_paths]
+
+
+def knotted_graph(rng):
+    """Knowledge-code nodes in shuffled order, names drawn from a small
+    pool so that some repeat, random CALL edges with self-calls and
+    cycles, and I/O nodes wired in; returns the graph and a random
+    subset of its nodes as a retrieved subgraph."""
+    graph = DependencyGraph()
+    ids = [f"kc:e{i}:n{i}" for i in range(rng.randint(1, 12))]
+    rng.shuffle(ids)
+    for node_id in ids:
+        name = rng.choice(("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"))
+        graph.add_kc_node(KnowledgeCodeNode(
+            node_id=node_id, function_name=name, code=f"def {name}():\n    pass  # {node_id}",
+            knowledge=f"{name} as in {node_id}", origin_entries=("e",)))
+    density = rng.choice((0.1, 0.25, 0.5))
+    for src in ids:
+        for dst in ids:
+            if rng.random() < density:
+                graph.add_edge(src, dst, CALL)
+    for kind, edge_type in ((INPUT, FEEDS), (OUTPUT, YIELDS)):
+        node_id = graph.io_node_id("x", kind)
+        graph.add_io_node(IoNode(node_id=node_id, label="x", kind=kind))
+        anchor = rng.choice(ids)
+        graph.add_edge(*((node_id, anchor) if kind == INPUT else (anchor, node_id)), edge_type)
+    every = sorted([*graph.kc_nodes, *graph.io_nodes])
+    subgraph = frozenset(rng.sample(every, rng.randint(0, len(every))))
+    return graph, RetrievalResult(paths=(), subgraph_nodes=subgraph, fallback=False,
+                                  stats=SearchStats())
+
+
+class TestAgainstRetiredAssembly:
+    """Subgraph-local ordering against the retired whole-graph scan
+    (`oracles.oracle_assemble_context`)."""
+
+    def test_random_knotted_subgraphs(self):
+        rng = random.Random(2026)
+        for _ in range(3000):
+            graph, result = knotted_graph(rng)
+            bundle = assemble_context(result, graph)
+            assert bundle == oracle_assemble_context(result, graph)
+            assert render_prompt_block(bundle) == \
+                render_prompt_block(oracle_assemble_context(result, graph))
+
+    def test_fee_and_benchmark_questions(self, fee_graph, fee_vocab, small_workloads):
+        cases = [(fee_graph, fee_vocab, [FEE_QUESTION])]
+        cases += [(graph, vocab, questions) for graph, vocab, questions, _ in
+                  small_workloads.values()]
+        for graph, vocab, questions in cases:
+            for question in questions:
+                result = retrieve(graph, extract_tags(question, vocab))
+                assert assemble_context(result, graph) == oracle_assemble_context(result, graph)
+
+    def test_call_edge_added_after_a_bundle_is_seen(self):
+        graph = DependencyGraph()
+        for name in ("alpha", "beta"):
+            graph.add_kc_node(KnowledgeCodeNode(
+                node_id=f"kc:e:{name}", function_name=name, code=f"def {name}():\n    pass",
+                knowledge=f"about {name}", origin_entries=("e",)))
+        result = RetrievalResult(paths=(), subgraph_nodes=frozenset(graph.kc_nodes),
+                                 fallback=False, stats=SearchStats())
+        names = lambda: [name for name, _ in assemble_context(result, graph).knowledge_texts]
+        assert names() == ["alpha", "beta"]
+        graph.add_edge("kc:e:alpha", "kc:e:beta", CALL)
+        assert names() == ["beta", "alpha"]

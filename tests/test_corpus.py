@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 
 import pytest
 
+from oracles import oracle_label_tokens
 from sgkr.corpus import (
+    label_tokens,
     load_corpus,
     normalize_label,
     save_corpus,
@@ -46,6 +50,23 @@ class TestNormalizeLabel:
 
     def test_whitespace_collapsed(self):
         assert normalize_label("a \t  b") == "a b"
+
+    def test_tokens_split_on_every_whitespace_the_normalizer_collapses(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = set(re.findall(r"\s", every)) | set(filter(str.isspace, every))
+        for space in sorted(spaces):
+            for text in (f"a{space}b", f"{space}A-{space}{space}b?{space}"):
+                assert label_tokens(text) == oracle_label_tokens(text), hex(ord(space))
+
+    def test_tokens_of_arbitrary_text(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(hypothesis.strategies.text())
+        def check(text):
+            assert label_tokens(text) == oracle_label_tokens(text)
+
+        check()
 
 
 class TestLoadCorpus:

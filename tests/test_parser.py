@@ -132,6 +132,18 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             extract_functions("def f(x=3):\n    return x\n")
 
+    @pytest.mark.parametrize("header, col", [
+        ("def f(f f):", 7),          # the piece, not the name `f` before it
+        ("def g(a, 9):", 10),        # the bad piece, not the first one
+        ("  def h( a ,  , b):", 15),  # a blank piece: the comma that ends it
+    ])
+    def test_bad_parameter_column_is_the_bad_piece(self, header, col):
+        source = header + "\n    pass\n"
+        for parse in (extract_functions, oracle_extract_functions):
+            with pytest.raises(ParseError) as err:
+                parse(source)
+            assert (err.value.line, err.value.col) == (1, col)
+
     def test_unterminated_string(self):
         with pytest.raises(ParseError) as err:
             extract_functions('def f():\n    s = "oops\n    return s\n')

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from conftest import FEE_QUESTION
+from oracles import oracle_extract_tags
+from sgkr.baselines import load_gold
 from sgkr.corpus import label_tokens
 from sgkr.errors import AliasCollision, SchemaViolation
 from sgkr.graph import INPUT, OUTPUT, DependencyGraph, IoNode
@@ -127,6 +130,21 @@ class TestExtractTags:
         second = extract_tags(FEE_QUESTION, fee_vocab)
         assert first == second
 
+    def test_long_question_on_a_large_vocabulary(self):
+        # 2 000 labels x 9 000 tokens: the retired matcher slid every label
+        # over the question and took seconds.
+        vocab = TagVocabulary(inputs={f"w{i} w{i + 1}": () for i in range(2000)},
+                              outputs={f"v{i}": () for i in range(2000)})
+        rng = random.Random(14)
+        question = " ".join(rng.choice(("w", "v")) + str(rng.randrange(2001))
+                            for _ in range(9000))
+        started = time.perf_counter()
+        tags = extract_tags(question, vocab)
+        assert time.perf_counter() - started < 1.0
+        tokens = question.split()
+        assert tags.outputs == {token for token in tokens if token in vocab.outputs}
+        assert tags.inputs <= {f"{a} {b}" for a, b in zip(tokens, tokens[1:])}
+
 
 class TestMonotonicity:
     def test_appending_unrelated_text_never_removes_matches(self):
@@ -149,3 +167,69 @@ class TestMonotonicity:
             extended = extract_tags(question + " " + suffix, vocab)
             assert base.inputs <= extended.inputs
             assert base.outputs <= extended.outputs
+
+
+def word_soup(rng, vocab, count, length, noise=("zig", "quux", "the", "of")):
+    """Questions strung from the vocabulary's own words plus noise, so
+    labels overlap, repeat and cut across each other."""
+    words = sorted({word for side in (vocab.inputs, vocab.outputs)
+                    for label, aliases in side.items()
+                    for text in (label, *aliases) for word in label_tokens(text)})
+    pool = words + list(noise)
+    return [" ".join(rng.choices(pool, k=rng.randint(0, length))) for _ in range(count)]
+
+
+class TestAgainstRetiredMatcher:
+    """The compiled tables against the retired per-question matcher
+    (`oracles.oracle_match_side`)."""
+
+    def test_fee_vocabulary(self, fee_vocab, fixture_dir):
+        questions = [FEE_QUESTION]
+        questions += [gold.question for gold in load_gold(fixture_dir / "gold.json")]
+        questions += word_soup(random.Random(11), fee_vocab, 2000, 12)
+        for question in questions:
+            assert extract_tags(question, fee_vocab) == oracle_extract_tags(question, fee_vocab)
+
+    @pytest.mark.parametrize("name", ["query", "cli"])
+    def test_benchmark_vocabularies(self, small_workloads, name):
+        _, vocab, questions, data = small_workloads[name]
+        questions = list(questions) + word_soup(random.Random(12), vocab, 300, 20)
+        if data.gold:
+            questions += [gold.question for gold in load_gold(data.gold)]
+        for question in questions:
+            assert extract_tags(question, vocab) == oracle_extract_tags(question, vocab)
+
+    def test_same_width_overlap_goes_to_the_lexically_first_pattern(self):
+        # "b a" comes first in the question, "a b" first lexically.
+        vocab = TagVocabulary(inputs={"b a": (), "a b": ()}, outputs={})
+        assert extract_tags("b a b", vocab).inputs == {"a b"}
+        assert oracle_extract_tags("b a b", vocab).inputs == {"a b"}
+
+    def test_shared_token_tuple_goes_to_the_smallest_label(self):
+        vocab = TagVocabulary(inputs={"fee-rate": (), "Fee Rate": (), "rate": ("fee rate",)},
+                              outputs={})
+        assert extract_tags("the fee rate", vocab).inputs == {"Fee Rate"}
+        assert oracle_extract_tags("the fee rate", vocab).inputs == {"Fee Rate"}
+
+    def test_generated_vocabularies(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        words = st.sampled_from(["a", "b", "c", "d"])
+        # Separators and case that normalize away, so distinct label
+        # strings can share one token tuple; "-" alone has no tokens.
+        separators = st.sampled_from([" ", "-", ", ", "\t", "\xa0 ", "?\u2003"])
+        texts = st.builds(
+            lambda tokens, sep, upper: sep.join(t.upper() if upper else t for t in tokens),
+            st.lists(words, min_size=1, max_size=3), separators, st.booleans()) | st.just("-")
+        sides = st.dictionaries(texts, st.lists(texts, max_size=2).map(tuple), max_size=5)
+        questions = st.builds(str.join, separators,
+                              st.lists(st.sampled_from(["a", "b", "c", "d", "x"]), max_size=14))
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(sides, sides, questions)
+        def check(inputs, outputs, question):
+            vocab = TagVocabulary(inputs=inputs, outputs=outputs)
+            assert extract_tags(question, vocab) == oracle_extract_tags(question, vocab)
+
+        check()
