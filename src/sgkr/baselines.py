@@ -3,12 +3,12 @@
 Two baselines stand in for model-based retrieval: an Okapi-style lexical
 ranker over each node's name, knowledge and code identifiers, and a
 cosine ranker over externally supplied vectors. The lexical index (node
-documents tokenized, term counts, idf) is built once per graph and
-memoized on it, so an evaluation tokenizes the corpus once, not once per
-question; both rankers take their name-sorted node list from it. A
-vector store computes each vector's norm once, when it is made. The
-harness scores any retrieved name set against gold needed/unneeded
-annotations.
+documents tokenized, term counts, idf) is built once per graph, which is
+read-only, and memoized on it, so an evaluation tokenizes the corpus
+once, not once per question; both rankers take their name-sorted node
+list from it. A vector store computes each vector's norm once, when it
+is made. The harness scores any retrieved name set against gold
+needed/unneeded annotations.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -69,9 +69,7 @@ class LexicalRanker:
     node's document.
     """
 
-    def __init__(self, nodes: Sequence[KnowledgeCodeNode], k1: float = BM25_K1, b: float = BM25_B):
-        self.k1 = k1
-        self.b = b
+    def __init__(self, nodes: Sequence[KnowledgeCodeNode]):
         self.names = [node.function_name for node in nodes]
         docs = [node_document_tokens(node) for node in nodes]
         self._term_freqs = {name: Counter(doc) for name, doc in zip(self.names, docs)}
@@ -94,13 +92,13 @@ class LexicalRanker:
         doc_len = self._doc_lens[function_name]
         if not doc_len or not self._avgdl:
             return 0.0
-        norm = self.k1 * (1.0 - self.b + self.b * doc_len / self._avgdl)
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / self._avgdl)
         total = 0.0
         for term in terms:
             freq = term_freq.get(term)
             if not freq:
                 continue
-            total += self._idf[term] * freq * (self.k1 + 1.0) / (freq + norm)
+            total += self._idf[term] * freq * (BM25_K1 + 1.0) / (freq + norm)
         return total
 
     def rank(self, question: str) -> list[tuple[str, float]]:
@@ -111,15 +109,12 @@ class LexicalRanker:
 
 
 def lexical_ranker(graph: DependencyGraph) -> LexicalRanker:
-    """The graph's ranker over its nodes sorted by name, built on first use
-    and rebuilt when `graph.kc_nodes` no longer equals the nodes it was
-    built from (a copy of each, so a node changed in place counts too)."""
-    cached = graph.cache.get("lexical")
-    if cached is None or cached[0] != graph.kc_nodes:
-        nodes = {node_id: replace(node) for node_id, node in graph.kc_nodes.items()}
-        ranker = LexicalRanker(sorted(nodes.values(), key=lambda node: node.function_name))
-        cached = graph.cache["lexical"] = (nodes, ranker)
-    return cached[1]
+    """The graph's ranker over its nodes sorted by name, built on first use."""
+    ranker = graph.cache.get("lexical")
+    if ranker is None:
+        ranker = graph.cache["lexical"] = LexicalRanker(
+            sorted(graph.kc_nodes.values(), key=lambda node: node.function_name))
+    return ranker
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,7 @@ knot, or a function that calls itself) the smallest remaining node comes
 next, its callees placed or not. The edges are read from the subgraph
 nodes' neighbours in the graph's memoized traversal index, so the order
 costs time in the subgraph and its neighbourhood, not in the graph's
-edges. Resolving names still passes once over the knowledge-code nodes:
-a loaded document may repeat a function name, and a repeated name keeps
-resolving to its last node.
+edges.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graph import CALL, DependencyGraph, KnowledgeCodeNode
+from .graph import CALL, DependencyGraph
 from .retriever import DependencyPath, RetrievalResult, traversal_index
 
 KNOWLEDGE_HEADER = "Following domain knowledge and context should be helpful:"
@@ -72,32 +70,17 @@ def _topological_order(result: RetrievalResult, graph: DependencyGraph) -> list[
     return ordered
 
 
-def _last_node_by_name(graph: DependencyGraph, names: list[str]) -> dict[str, KnowledgeCodeNode]:
-    """Each name's last node in `graph.kc_nodes` order, which may lie
-    outside the subgraph when the name is repeated."""
-    wanted = set(names)
-    nodes = {}
-    for node in graph.kc_nodes.values():
-        if node.function_name in wanted:
-            nodes[node.function_name] = node
-    return nodes
-
-
 def assemble_context(result: RetrievalResult, graph: DependencyGraph) -> ContextBundle:
-    """One (knowledge, code) entry per retrieved knowledge-code node;
-    I/O nodes are ignored. A fallback result gives an empty bundle.
-    Where several nodes share a function name, the name's entries come
-    from the last of them in `graph.kc_nodes` order."""
+    """One (knowledge, code) entry per retrieved knowledge-code node, each
+    from that node itself; I/O nodes are ignored. A fallback result gives
+    an empty bundle."""
     if result.fallback:
         return ContextBundle(knowledge_texts=(), code_examples=(), source_paths=())
 
-    names = [graph.kc_nodes[nid].function_name for nid in _topological_order(result, graph)]
-    nodes = _last_node_by_name(graph, names)
-    knowledge = tuple((name, nodes[name].knowledge) for name in names)
-    code = tuple((name, nodes[name].code) for name in names)
+    nodes = [graph.kc_nodes[nid] for nid in _topological_order(result, graph)]
     return ContextBundle(
-        knowledge_texts=knowledge,
-        code_examples=code,
+        knowledge_texts=tuple((node.function_name, node.knowledge) for node in nodes),
+        code_examples=tuple((node.function_name, node.code) for node in nodes),
         source_paths=result.paths,
     )
 

@@ -5,6 +5,10 @@ pair with intra-entry call edges, merge nodes that share a function name
 into a single canonical node, then insert semantic I/O nodes and attach
 them to their anchor functions. The merged graph is what retrieval runs
 against and what gets persisted.
+
+Nodes and graphs are read-only once made. Each step, like `deserialize`,
+fills local dicts and a set and makes its graph once; a changed node or
+graph is a new one, made with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, IoSpec
 from .errors import (
@@ -42,7 +47,7 @@ class Edge(NamedTuple):
     type: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeCodeNode:
     """A function bound to its domain-knowledge text.
 
@@ -66,44 +71,36 @@ class IoNode:
     kind: str  # INPUT or OUTPUT
 
 
-@dataclass
+@dataclass(frozen=True)
 class DependencyGraph:
     """Directed graph over knowledge-code nodes and semantic I/O nodes.
 
     Edge types: CALL (function -> function it calls), FEEDS (input I/O
     node -> consuming function), YIELDS (function -> output I/O node).
+
+    Read-only once made: the node maps are read-only views of private
+    copies and the edges a frozenset. `dataclasses.replace(graph, ...)`
+    makes a changed graph, which starts with an empty cache.
     """
 
-    kc_nodes: dict[str, KnowledgeCodeNode] = field(default_factory=dict)
-    io_nodes: dict[str, IoNode] = field(default_factory=dict)
-    edges: set[Edge] = field(default_factory=set)
+    kc_nodes: Mapping[str, KnowledgeCodeNode] = field(default_factory=dict)
+    io_nodes: Mapping[str, IoNode] = field(default_factory=dict)
+    edges: frozenset[Edge] = frozenset()
     # Structures derived from the graph and memoized on it by the module
     # that owns them (the retriever's traversal index, the lexical ranker).
-    # Each owner revalidates its entry against the field it was built from.
     cache: dict[str, object] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kc_nodes", MappingProxyType(dict(self.kc_nodes)))
+        object.__setattr__(self, "io_nodes", MappingProxyType(dict(self.io_nodes)))
+        object.__setattr__(self, "edges", frozenset(self.edges))
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self.kc_nodes or node_id in self.io_nodes
 
-    def add_kc_node(self, node: KnowledgeCodeNode) -> None:
-        self.kc_nodes[node.node_id] = node
-
-    def add_io_node(self, node: IoNode) -> None:
-        self.io_nodes[node.node_id] = node
-
-    def add_edge(self, src: str, dst: str, edge_type: str) -> None:
-        self.edges.add(Edge(src, dst, edge_type))
-
     def io_node_id(self, label: str, kind: str) -> str:
         return f"io:{kind}:{label}"
-
-    def copy(self) -> DependencyGraph:
-        return DependencyGraph(
-            kc_nodes={nid: replace(node) for nid, node in self.kc_nodes.items()},
-            io_nodes=dict(self.io_nodes),
-            edges=set(self.edges),
-        )
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,8 @@ def assemble_raw_graph(fragments: Iterable[TraceFragment], corpus: Corpus) -> De
     CALL edges from each fragment, knowledge attached from the entry's
     annotations (or a generated one-line description)."""
     knowledge_by_entry = {entry.entry_id: entry.knowledge_map for entry in corpus.entries}
-    graph = DependencyGraph()
+    kc_nodes: dict[str, KnowledgeCodeNode] = {}
+    edges: set[Edge] = set()
     for fragment in fragments:
         knowledge_map = knowledge_by_entry.get(fragment.entry_id, {})
         defined = {fn.name for fn in fragment.functions}
@@ -146,30 +144,30 @@ def assemble_raw_graph(fragments: Iterable[TraceFragment], corpus: Corpus) -> De
                 )
         for fn in fragment.functions:
             node_id = kc_node_id(fragment.entry_id, fn.name)
-            existing = graph.kc_nodes.get(node_id)
+            existing = kc_nodes.get(node_id)
             if existing is not None:
                 # Same name defined twice in one entry: first definition
                 # wins, later differing bodies are kept as variants.
                 if fn.text != existing.code and fn.text not in existing.variants:
-                    existing.variants = existing.variants + (fn.text,)
+                    kc_nodes[node_id] = replace(existing, variants=existing.variants + (fn.text,))
                 continue
             knowledge = knowledge_map.get(fn.name, "").strip()
             if not knowledge:
                 knowledge = _placeholder_knowledge(fn.name, fn.body_text)
-            graph.add_kc_node(KnowledgeCodeNode(
+            kc_nodes[node_id] = KnowledgeCodeNode(
                 node_id=node_id,
                 function_name=fn.name,
                 code=fn.text,
                 knowledge=knowledge,
                 origin_entries=(fragment.entry_id,),
-            ))
+            )
         for caller, callee in fragment.call_edges:
-            graph.add_edge(
+            edges.add(Edge(
                 kc_node_id(fragment.entry_id, caller),
                 kc_node_id(fragment.entry_id, callee),
                 CALL,
-            )
-    return graph
+            ))
+    return DependencyGraph(kc_nodes=kc_nodes, edges=edges)
 
 
 def merge_identical(graph: DependencyGraph) -> DependencyGraph:
@@ -179,8 +177,7 @@ def merge_identical(graph: DependencyGraph) -> DependencyGraph:
     entry order, then source order). Every edge touching a duplicate is
     redirected to the canonical node and the edge set deduplicated.
     Origin entries are unioned; differing knowledge texts are appended in
-    entry order; differing bodies land in `variants`. Pure: the input
-    graph is left untouched.
+    entry order; differing bodies land in `variants`.
     """
     canonical_by_name: dict[str, str] = {}
     redirect: dict[str, str] = {}
@@ -191,35 +188,37 @@ def merge_identical(graph: DependencyGraph) -> DependencyGraph:
         if canon_id is None:
             canonical_by_name[node.function_name] = node.node_id
             redirect[node.node_id] = node.node_id
-            merged_kc[node.node_id] = replace(node)
+            merged_kc[node.node_id] = node
             continue
         redirect[node.node_id] = canon_id
         canon = merged_kc[canon_id]
+        origins = canon.origin_entries
         for origin in node.origin_entries:
-            if origin not in canon.origin_entries:
-                canon.origin_entries = canon.origin_entries + (origin,)
-        known_texts = canon.knowledge.split(_KNOWLEDGE_SEPARATOR)
-        if node.knowledge and node.knowledge not in known_texts:
-            canon.knowledge = canon.knowledge + _KNOWLEDGE_SEPARATOR + node.knowledge
-        candidate_bodies = (node.code,) + node.variants
-        for body in candidate_bodies:
-            if body != canon.code and body not in canon.variants:
-                canon.variants = canon.variants + (body,)
+            if origin not in origins:
+                origins += (origin,)
+        knowledge = canon.knowledge
+        if node.knowledge and node.knowledge not in knowledge.split(_KNOWLEDGE_SEPARATOR):
+            knowledge += _KNOWLEDGE_SEPARATOR + node.knowledge
+        variants = canon.variants
+        for body in (node.code,) + node.variants:
+            if body != canon.code and body not in variants:
+                variants += (body,)
+        merged_kc[canon_id] = replace(canon, origin_entries=origins, knowledge=knowledge,
+                                      variants=variants)
 
-    edges = set()
-    for edge in graph.edges:
-        edges.add(Edge(redirect.get(edge.src, edge.src), redirect.get(edge.dst, edge.dst), edge.type))
-
-    return DependencyGraph(kc_nodes=merged_kc, io_nodes=dict(graph.io_nodes), edges=edges)
+    edges = {Edge(redirect.get(edge.src, edge.src), redirect.get(edge.dst, edge.dst), edge.type)
+             for edge in graph.edges}
+    return replace(graph, kc_nodes=merged_kc, edges=edges)
 
 
 def insert_io_nodes(graph: DependencyGraph, io_specs: Iterable[IoSpec]) -> DependencyGraph:
     """Insert one I/O node per distinct (label, kind) and attach it to its
     anchor function: FEEDS for inputs, YIELDS for outputs. Repeated labels
-    reuse the node and accumulate edges. Pure."""
-    result = graph.copy()
+    reuse the node and accumulate edges."""
+    io_nodes = dict(graph.io_nodes)
+    edges = set(graph.edges)
     anchor_ids: dict[str, str] = {}
-    for node in result.kc_nodes.values():
+    for node in graph.kc_nodes.values():
         anchor_ids.setdefault(node.function_name, node.node_id)
 
     for spec in io_specs:
@@ -231,14 +230,14 @@ def insert_io_nodes(graph: DependencyGraph, io_specs: Iterable[IoSpec]) -> Depen
                         f"{kind} label {decl.label!r} anchors at {decl.anchor!r}, "
                         "which is not in the graph"
                     )
-                io_id = result.io_node_id(decl.label, kind)
-                if io_id not in result.io_nodes:
-                    result.add_io_node(IoNode(node_id=io_id, label=decl.label, kind=kind))
+                io_id = graph.io_node_id(decl.label, kind)
+                if io_id not in io_nodes:
+                    io_nodes[io_id] = IoNode(node_id=io_id, label=decl.label, kind=kind)
                 if kind == INPUT:
-                    result.add_edge(io_id, anchor_id, FEEDS)
+                    edges.add(Edge(io_id, anchor_id, FEEDS))
                 else:
-                    result.add_edge(anchor_id, io_id, YIELDS)
-    return result
+                    edges.add(Edge(anchor_id, io_id, YIELDS))
+    return replace(graph, io_nodes=io_nodes, edges=edges)
 
 
 def build_graph(corpus: Corpus) -> DependencyGraph:
@@ -439,25 +438,27 @@ def deserialize(document: str) -> DependencyGraph:
             f"unsupported format version {raw['format_version']!r} "
             f"(expected {FORMAT_VERSION!r})"
         )
-    graph = DependencyGraph()
+    kc_nodes: dict[str, KnowledgeCodeNode] = {}
+    io_nodes: dict[str, IoNode] = {}
+    edges: set[Edge] = set()
     for i, record in enumerate(raw["kc_nodes"]):
         record = _check_fields(record, _KC_FIELDS, f"kc_nodes[{i}]")
         if not all(isinstance(text, str) for text in record["origin_entries"] + record["variants"]):
             raise SchemaViolation(f"kc_nodes[{i}]: origin_entries and variants must hold strings")
-        graph.add_kc_node(KnowledgeCodeNode(
+        kc_nodes[record["node_id"]] = KnowledgeCodeNode(
             node_id=record["node_id"],
             function_name=record["function_name"],
             code=record["code"],
             knowledge=record["knowledge"],
             origin_entries=tuple(record["origin_entries"]),
             variants=tuple(record["variants"]),
-        ))
+        )
     for i, record in enumerate(raw["io_nodes"]):
         record = _check_fields(record, _IO_NODE_FIELDS, f"io_nodes[{i}]")
         if record["kind"] not in (INPUT, OUTPUT):
             raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
-        graph.add_io_node(IoNode(**record))
-    known = graph.kc_nodes.keys() | graph.io_nodes.keys()
+        io_nodes[record["node_id"]] = IoNode(**record)
+    known = kc_nodes.keys() | io_nodes.keys()
     if len(known) < len(raw["kc_nodes"]) + len(raw["io_nodes"]):
         seen: set[str] = set()
         for record in raw["kc_nodes"] + raw["io_nodes"]:
@@ -471,8 +472,8 @@ def deserialize(document: str) -> DependencyGraph:
             raise SchemaViolation(f"edges[{i}]: bad type {edge.type!r}")
         if edge.src not in known or edge.dst not in known:
             raise SchemaViolation(f"edges[{i}]: dangling endpoint")
-        graph.edges.add(edge)
-    return graph
+        edges.add(edge)
+    return DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=edges)
 
 
 def to_dot(graph: DependencyGraph) -> str:

@@ -16,8 +16,7 @@ pruned. The distance ignores simplicity, so it never overestimates and no
 path is lost; the layers are computed only as far as the current L needs.
 Deepening stops after the first level that pruned nothing, at the path
 cap, or after `_MAX_EXPANSIONS` node expansions. The traversal adjacency
-is built once per graph as a `TraversalIndex` and reused while the
-graph's edge set stays equal to the one it was built from.
+is built once per graph, which is read-only, as a `TraversalIndex`.
 
 A search that has expanded as many nodes as the graph has edges confines
 itself to the biconnected blocks between its endpoints (Hopcroft & Tarjan
@@ -234,11 +233,10 @@ def _build_index(edges: frozenset[Edge]) -> TraversalIndex:
 
 
 def traversal_index(graph: DependencyGraph) -> TraversalIndex:
-    """The graph's traversal index, built on first use and rebuilt when
-    `graph.edges` no longer equals the edge set it was built from."""
+    """The graph's traversal index, built on first use."""
     index = graph.cache.get("traversal")
-    if index is None or graph.edges != index.edges:
-        index = graph.cache["traversal"] = _build_index(frozenset(graph.edges))
+    if index is None:
+        index = graph.cache["traversal"] = _build_index(graph.edges)
     return index
 
 

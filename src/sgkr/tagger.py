@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from .corpus import label_tokens, normalize_label, read_text
 from .errors import AliasCollision, MissingFile, SchemaViolation
@@ -35,14 +37,17 @@ _Tables = tuple[tuple[int, dict[tuple[str, ...], str]], ...]
 @dataclass(frozen=True)
 class TagVocabulary:
     """Known labels by kind; each label maps to its (possibly empty)
-    tuple of normalized aliases. Both kinds' matchers are compiled when
-    the vocabulary is made; change the dicts in place and they go stale."""
+    tuple of normalized aliases. Both maps are read-only views of private
+    copies, and both kinds' matchers are compiled when the vocabulary is
+    made."""
 
-    inputs: dict[str, tuple[str, ...]]
-    outputs: dict[str, tuple[str, ...]]
+    inputs: Mapping[str, tuple[str, ...]]
+    outputs: Mapping[str, tuple[str, ...]]
     _tables: tuple[_Tables, _Tables] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
+        object.__setattr__(self, "outputs", MappingProxyType(dict(self.outputs)))
         object.__setattr__(self, "_tables", (_compile(self.inputs), _compile(self.outputs)))
 
 
@@ -115,7 +120,7 @@ def build_vocabulary(
     )
 
 
-def _compile(side: dict[str, tuple[str, ...]]) -> _Tables:
+def _compile(side: Mapping[str, tuple[str, ...]]) -> _Tables:
     """One table per pattern width over a kind's labels and aliases."""
     tables: dict[int, dict[tuple[str, ...], str]] = {}
     for label, aliases in side.items():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import re
 from collections import defaultdict
+from dataclasses import replace
 
 from sgkr.context import ContextBundle
 from sgkr.corpus import normalize_label
@@ -39,33 +40,35 @@ def oracle_merge(graph: DependencyGraph) -> DependencyGraph:
         canon.setdefault(node.function_name, node.node_id)
     relabel = {node.node_id: canon[node.function_name] for node in order}
 
-    merged: dict[str, KnowledgeCodeNode] = {}
-    for node in order:
-        target = relabel[node.node_id]
-        if target == node.node_id:
-            merged[target] = KnowledgeCodeNode(
-                node_id=node.node_id,
-                function_name=node.function_name,
-                code=node.code,
-                knowledge=node.knowledge,
-                origin_entries=tuple(node.origin_entries),
-                variants=tuple(node.variants),
-            )
+    # Each keeper's origin entries, knowledge texts and variant bodies.
+    gathered: dict[str, tuple[list[str], list[str], list[str]]] = {
+        node.node_id: (list(node.origin_entries), [node.knowledge], list(node.variants))
+        for node in order if relabel[node.node_id] == node.node_id
+    }
     for node in order:
         target = relabel[node.node_id]
         if target == node.node_id:
             continue
-        keeper = merged[target]
-        origins = list(keeper.origin_entries)
+        origins, texts, variants = gathered[target]
         for origin in node.origin_entries:
             if origin not in origins:
                 origins.append(origin)
-        keeper.origin_entries = tuple(origins)
-        if node.knowledge and node.knowledge not in keeper.knowledge.split(KNOWLEDGE_SEP):
-            keeper.knowledge = keeper.knowledge + KNOWLEDGE_SEP + node.knowledge
+        if node.knowledge and node.knowledge not in KNOWLEDGE_SEP.join(texts).split(KNOWLEDGE_SEP):
+            texts.append(node.knowledge)
         for body in (node.code,) + node.variants:
-            if body != keeper.code and body not in keeper.variants:
-                keeper.variants = keeper.variants + (body,)
+            if body != graph.kc_nodes[target].code and body not in variants:
+                variants.append(body)
+    merged = {
+        target: KnowledgeCodeNode(
+            node_id=target,
+            function_name=graph.kc_nodes[target].function_name,
+            code=graph.kc_nodes[target].code,
+            knowledge=KNOWLEDGE_SEP.join(texts),
+            origin_entries=tuple(origins),
+            variants=tuple(variants),
+        )
+        for target, (origins, texts, variants) in gathered.items()
+    }
 
     edges = {
         type(edge)(relabel.get(edge.src, edge.src), relabel.get(edge.dst, edge.dst), edge.type)
@@ -188,75 +191,80 @@ def oracle_reachable(graph: DependencyGraph, start: str) -> set[str]:
 def random_premerge_graph(rng: random.Random, max_entries: int = 4, max_funcs: int = 8) -> DependencyGraph:
     """A pre-merge graph with duplicate function names planted across
     fake entries (up to max_entries * max_funcs <= 30 or so nodes)."""
-    graph = DependencyGraph()
+    kc_nodes: dict[str, KnowledgeCodeNode] = {}
+    edges: set[Edge] = set()
     n_entries = rng.randint(1, max_entries)
     name_pool = [f"f{i}" for i in range(max_funcs)]
     for entry_index in range(n_entries):
         entry_id = f"e{entry_index}"
         chosen = rng.sample(name_pool, rng.randint(1, max_funcs))
         for name in chosen:
-            graph.add_kc_node(KnowledgeCodeNode(
+            kc_nodes[f"kc:{entry_id}:{name}"] = KnowledgeCodeNode(
                 node_id=f"kc:{entry_id}:{name}",
                 function_name=name,
                 code=f"def {name}():\n    pass  # {entry_id} v{rng.randint(0, 2)}",
                 knowledge=rng.choice([f"about {name}", f"notes on {name} from {entry_id}"]),
                 origin_entries=(entry_id,),
-            ))
+            )
         for caller in chosen:
             for callee in chosen:
                 if caller != callee and rng.random() < 0.25:
-                    graph.add_edge(f"kc:{entry_id}:{caller}", f"kc:{entry_id}:{callee}", CALL)
-    return graph
+                    edges.add(Edge(f"kc:{entry_id}:{caller}", f"kc:{entry_id}:{callee}", CALL))
+    return DependencyGraph(kc_nodes=kc_nodes, edges=edges)
 
 
 def random_io_graph(rng: random.Random, max_kc: int = 8) -> tuple[DependencyGraph, list[str], list[str]]:
     """A merged-style graph (unique names) with random CALL edges and
     random I/O attachments; returns (graph, source ids, target ids)."""
-    graph = DependencyGraph()
+    kc_nodes: dict[str, KnowledgeCodeNode] = {}
+    io_nodes: dict[str, IoNode] = {}
+    edges: set[Edge] = set()
     n_kc = rng.randint(2, max_kc)
     kc_ids = []
     for i in range(n_kc):
         node_id = f"kc:e0:f{i}"
         kc_ids.append(node_id)
-        graph.add_kc_node(KnowledgeCodeNode(
+        kc_nodes[node_id] = KnowledgeCodeNode(
             node_id=node_id,
             function_name=f"f{i}",
             code=f"def f{i}():\n    pass",
             knowledge=f"about f{i}",
             origin_entries=("e0",),
-        ))
+        )
     for src in kc_ids:
         for dst in kc_ids:
             if src != dst and rng.random() < 0.25:
-                graph.add_edge(src, dst, CALL)
+                edges.add(Edge(src, dst, CALL))
 
     # I/O nodes may anchor at several functions (multiple FEEDS/YIELDS),
     # like labels shared across corpus entries.
     sources, targets = [], []
     for i in range(rng.randint(1, 2)):
         label = f"in{i}"
-        node_id = graph.io_node_id(label, INPUT)
-        graph.add_io_node(IoNode(node_id=node_id, label=label, kind=INPUT))
+        node_id = f"io:{INPUT}:{label}"
+        io_nodes[node_id] = IoNode(node_id=node_id, label=label, kind=INPUT)
         for anchor in rng.sample(kc_ids, min(len(kc_ids), rng.randint(1, 3))):
-            graph.add_edge(node_id, anchor, FEEDS)
+            edges.add(Edge(node_id, anchor, FEEDS))
         sources.append(node_id)
     for i in range(rng.randint(1, 2)):
         label = f"out{i}"
-        node_id = graph.io_node_id(label, OUTPUT)
-        graph.add_io_node(IoNode(node_id=node_id, label=label, kind=OUTPUT))
+        node_id = f"io:{OUTPUT}:{label}"
+        io_nodes[node_id] = IoNode(node_id=node_id, label=label, kind=OUTPUT)
         for anchor in rng.sample(kc_ids, min(len(kc_ids), rng.randint(1, 3))):
-            graph.add_edge(anchor, node_id, YIELDS)
+            edges.add(Edge(anchor, node_id, YIELDS))
         targets.append(node_id)
-    return graph, sources, targets
+    return DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=edges), sources, targets
 
 
-def add_malformed_edges(rng: random.Random, graph: DependencyGraph, count: int = 6) -> None:
-    """Add `count` edges of a random type between random nodes, I/O nodes
-    included and either way round: a FEEDS edge into an input, a YIELDS
-    edge out of an output, a CALL edge touching an I/O node, self-loops."""
+def add_malformed_edges(rng: random.Random, graph: DependencyGraph, count: int = 6) -> DependencyGraph:
+    """The graph with `count` edges of a random type between random nodes
+    added, I/O nodes included and either way round: a FEEDS edge into an
+    input, a YIELDS edge out of an output, a CALL edge touching an I/O
+    node, self-loops."""
     nodes = sorted([*graph.kc_nodes, *graph.io_nodes])
-    for _ in range(count):
-        graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice((CALL, FEEDS, YIELDS)))
+    added = [Edge(rng.choice(nodes), rng.choice(nodes), rng.choice((CALL, FEEDS, YIELDS)))
+             for _ in range(count)]
+    return replace(graph, edges=graph.edges | set(added))
 
 
 def oracle_call_cycles(graph: DependencyGraph) -> list[tuple[str, ...]]:
@@ -301,21 +309,18 @@ def oracle_cyclic_components(graph: DependencyGraph) -> set[frozenset[str]]:
 def random_call_graph(rng: random.Random, max_kc: int = 9) -> DependencyGraph:
     """Knowledge-code nodes in shuffled insertion order with random CALL
     edges, self-loops included, at a random density."""
-    graph = DependencyGraph()
     kc_ids = [f"kc:e0:f{i}" for i in range(rng.randint(0, max_kc))]
     rng.shuffle(kc_ids)
+    kc_nodes = {}
     for node_id in kc_ids:
         name = node_id.rsplit(":", 1)[1]
-        graph.add_kc_node(KnowledgeCodeNode(
+        kc_nodes[node_id] = KnowledgeCodeNode(
             node_id=node_id, function_name=name, code=f"def {name}():\n    pass",
             knowledge=f"about {name}", origin_entries=("e0",),
-        ))
+        )
     density = rng.choice((0.05, 0.15, 0.3))
-    for src in kc_ids:
-        for dst in kc_ids:
-            if rng.random() < density:
-                graph.add_edge(src, dst, CALL)
-    return graph
+    edges = {Edge(src, dst, CALL) for src in kc_ids for dst in kc_ids if rng.random() < density}
+    return DependencyGraph(kc_nodes=kc_nodes, edges=edges)
 
 
 _ORACLE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

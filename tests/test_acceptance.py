@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from conftest import FEE_NEEDED, FEE_QUESTION, FEE_UNNEEDED, FIXTURE_DIR
 from oracles import oracle_merge, oracle_simple_paths, random_io_graph, random_premerge_graph
@@ -22,6 +23,7 @@ from sgkr.graph import (
     OUTPUT,
     YIELDS,
     DependencyGraph,
+    Edge,
     IoNode,
     KnowledgeCodeNode,
     build_graph,
@@ -46,18 +48,20 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number}: PASS - {description} ({elapsed:.2f}s)")
 
 
-def plant_duplicate(graph: DependencyGraph, rng: random.Random) -> None:
-    """Guarantee at least one duplicated function name."""
+def plant_duplicate(graph: DependencyGraph, rng: random.Random) -> DependencyGraph:
+    """The graph with at least one duplicated function name."""
     nodes = list(graph.kc_nodes.values())
     if len({n.function_name for n in nodes}) == len(nodes) and nodes:
         victim = rng.choice(nodes)
-        graph.add_kc_node(KnowledgeCodeNode(
+        copy = KnowledgeCodeNode(
             node_id=f"kc:extra:{victim.function_name}",
             function_name=victim.function_name,
             code=victim.code + "  # copy",
             knowledge="planted duplicate",
             origin_entries=("extra",),
-        ))
+        )
+        graph = replace(graph, kc_nodes={**graph.kc_nodes, copy.node_id: copy})
+    return graph
 
 
 def test_criterion_1_merge_matches_bruteforce_oracle():
@@ -66,25 +70,25 @@ def test_criterion_1_merge_matches_bruteforce_oracle():
         started = time.perf_counter()
         for _ in range(1000):
             graph = random_premerge_graph(rng, max_entries=5, max_funcs=6)
-            plant_duplicate(graph, rng)
+            graph = plant_duplicate(graph, rng)
             assert merge_identical(graph) == oracle_merge(graph)
         assert time.perf_counter() - started < 10.0
 
 
 def test_criterion_2_merging_exposes_cross_trace_connectivity():
     with criterion(2, "merging connects input1 to output2 through the shared function"):
-        graph = DependencyGraph()
-        for entry in ("e1", "e2"):
-            graph.add_kc_node(KnowledgeCodeNode(
+        kc_nodes, io_nodes, edges = {}, {}, set()
+        for i, entry in (("1", "e1"), ("2", "e2")):
+            kc_nodes[f"kc:{entry}:func1"] = KnowledgeCodeNode(
                 node_id=f"kc:{entry}:func1", function_name="func1",
                 code="def func1(x):\n    return x", knowledge="shared step",
                 origin_entries=(entry,),
-            ))
-        for i, entry in (("1", "e1"), ("2", "e2")):
-            graph.add_io_node(IoNode(f"io:input:input{i}", f"input{i}", INPUT))
-            graph.add_io_node(IoNode(f"io:output:output{i}", f"output{i}", OUTPUT))
-            graph.add_edge(f"io:input:input{i}", f"kc:{entry}:func1", FEEDS)
-            graph.add_edge(f"kc:{entry}:func1", f"io:output:output{i}", YIELDS)
+            )
+            io_nodes[f"io:input:input{i}"] = IoNode(f"io:input:input{i}", f"input{i}", INPUT)
+            io_nodes[f"io:output:output{i}"] = IoNode(f"io:output:output{i}", f"output{i}", OUTPUT)
+            edges.add(Edge(f"io:input:input{i}", f"kc:{entry}:func1", FEEDS))
+            edges.add(Edge(f"kc:{entry}:func1", f"io:output:output{i}", YIELDS))
+        graph = DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=edges)
 
         before = find_paths(graph, ["io:input:input1"], ["io:output:output2"], WIDE)
         assert before == []
@@ -203,13 +207,11 @@ def test_criterion_7_fallback_contract(fee_graph, fee_vocab, tmp_path, capsys):
 def test_criterion_8_baseline_budget_contract(fee_graph):
     with criterion(8, "lexical and vector retrievers return exactly min(k, node count)"):
         vectors = load_vectors(FIXTURE_DIR / "vectors.txt")
-        small = DependencyGraph()
-        for name in ("alpha", "beta", "gamma"):
-            small.add_kc_node(KnowledgeCodeNode(
-                node_id=f"kc:s:{name}", function_name=name,
-                code=f"def {name}():\n    pass", knowledge=f"about {name}",
-                origin_entries=("s",),
-            ))
+        small = DependencyGraph(kc_nodes={f"kc:s:{name}": KnowledgeCodeNode(
+            node_id=f"kc:s:{name}", function_name=name,
+            code=f"def {name}():\n    pass", knowledge=f"about {name}",
+            origin_entries=("s",),
+        ) for name in ("alpha", "beta", "gamma")})
         small_vectors_lines = ["2"] + [f"{n}\t1.0 0.0" for n in ("alpha", "beta", "gamma")]
         small_vectors_lines.append("budget question\t0.5 0.5")
         import tempfile

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -50,10 +51,7 @@ def retired_cosine(a, b):
 
 
 def small_graph(*nodes):
-    graph = DependencyGraph()
-    for node in nodes:
-        graph.add_kc_node(node)
-    return graph
+    return DependencyGraph(kc_nodes={node.node_id: node for node in nodes})
 
 
 class TestTokenization:
@@ -175,12 +173,18 @@ class TestRetrieveTopk:
     def test_kc_nodes_mutation_seen_by_next_topk(self):
         graph = small_graph(make_node("alpha"), make_node("beta"))
         assert retrieve_topk("gamma", graph, 1) == ["alpha"]  # all tied at zero
-        graph.add_kc_node(make_node("gamma"))
-        assert retrieve_topk("gamma", graph, 1) == ["gamma"]
-        del graph.kc_nodes["kc:e:gamma"]
+        with pytest.raises(TypeError):
+            graph.kc_nodes["kc:e:gamma"] = make_node("gamma")
+        with pytest.raises(FrozenInstanceError):
+            graph.kc_nodes["kc:e:beta"].knowledge = "gamma"
+        widened = replace(graph, kc_nodes={**graph.kc_nodes, "kc:e:gamma": make_node("gamma")})
+        assert retrieve_topk("gamma", widened, 1) == ["gamma"]
+        beta = graph.kc_nodes["kc:e:beta"]
+        relabelled = replace(graph, kc_nodes={**graph.kc_nodes,
+                                              beta.node_id: replace(beta, knowledge="gamma")})
+        assert retrieve_topk("gamma", relabelled, 1) == ["beta"]
         assert retrieve_topk("gamma", graph, 1) == ["alpha"]
-        graph.kc_nodes["kc:e:beta"].knowledge = "gamma"
-        assert retrieve_topk("gamma", graph, 1) == ["beta"]
+        assert retrieve_topk("gamma", widened, 1) == ["gamma"]
 
     def test_budget_exact_for_both_scorers(self, fee_graph, fixture_dir):
         vectors = load_vectors(fixture_dir / "vectors.txt")

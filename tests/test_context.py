@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import FEE_QUESTION
-from oracles import oracle_assemble_context
+from oracles import oracle_assemble_context, oracle_topological_names
 from sgkr.context import (
     FUNCTIONS_HEADER,
     KNOWLEDGE_HEADER,
@@ -15,7 +17,7 @@ from sgkr.context import (
     render_prompt_block,
 )
 from sgkr.graph import (
-    CALL, FEEDS, INPUT, OUTPUT, YIELDS, DependencyGraph, IoNode, KnowledgeCodeNode,
+    CALL, FEEDS, INPUT, OUTPUT, YIELDS, DependencyGraph, Edge, IoNode, KnowledgeCodeNode,
 )
 from sgkr.retriever import RetrievalResult, SearchStats, retrieve
 from sgkr.tagger import extract_tags
@@ -121,24 +123,23 @@ def knotted_graph(rng):
     pool so that some repeat, random CALL edges with self-calls and
     cycles, and I/O nodes wired in; returns the graph and a random
     subset of its nodes as a retrieved subgraph."""
-    graph = DependencyGraph()
     ids = [f"kc:e{i}:n{i}" for i in range(rng.randint(1, 12))]
     rng.shuffle(ids)
+    kc_nodes = {}
     for node_id in ids:
         name = rng.choice(("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"))
-        graph.add_kc_node(KnowledgeCodeNode(
+        kc_nodes[node_id] = KnowledgeCodeNode(
             node_id=node_id, function_name=name, code=f"def {name}():\n    pass  # {node_id}",
-            knowledge=f"{name} as in {node_id}", origin_entries=("e",)))
+            knowledge=f"{name} as in {node_id}", origin_entries=("e",))
     density = rng.choice((0.1, 0.25, 0.5))
-    for src in ids:
-        for dst in ids:
-            if rng.random() < density:
-                graph.add_edge(src, dst, CALL)
+    edges = {Edge(src, dst, CALL) for src in ids for dst in ids if rng.random() < density}
+    io_nodes = {}
     for kind, edge_type in ((INPUT, FEEDS), (OUTPUT, YIELDS)):
-        node_id = graph.io_node_id("x", kind)
-        graph.add_io_node(IoNode(node_id=node_id, label="x", kind=kind))
+        node_id = f"io:{kind}:x"
+        io_nodes[node_id] = IoNode(node_id=node_id, label="x", kind=kind)
         anchor = rng.choice(ids)
-        graph.add_edge(*((node_id, anchor) if kind == INPUT else (anchor, node_id)), edge_type)
+        edges.add(Edge(*((node_id, anchor) if kind == INPUT else (anchor, node_id)), edge_type))
+    graph = DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=edges)
     every = sorted([*graph.kc_nodes, *graph.io_nodes])
     subgraph = frozenset(rng.sample(every, rng.randint(0, len(every))))
     return graph, RetrievalResult(paths=(), subgraph_nodes=subgraph, fallback=False,
@@ -150,13 +151,30 @@ class TestAgainstRetiredAssembly:
     (`oracles.oracle_assemble_context`)."""
 
     def test_random_knotted_subgraphs(self):
+        # The retired assembly resolved a repeated name to its last node in
+        # the graph; each entry now comes from the retrieved node itself, so
+        # the two agree exactly where the graph's names are unique.
         rng = random.Random(2026)
+        unique = 0
         for _ in range(3000):
             graph, result = knotted_graph(rng)
             bundle = assemble_context(result, graph)
-            assert bundle == oracle_assemble_context(result, graph)
-            assert render_prompt_block(bundle) == \
-                render_prompt_block(oracle_assemble_context(result, graph))
+            names = [node.function_name for node in graph.kc_nodes.values()]
+            if len(set(names)) == len(names):
+                unique += 1
+                assert bundle == oracle_assemble_context(result, graph)
+                assert render_prompt_block(bundle) == \
+                    render_prompt_block(oracle_assemble_context(result, graph))
+            retrieved = [graph.kc_nodes[nid] for nid in result.subgraph_nodes
+                         if nid in graph.kc_nodes]
+            assert [name for name, _ in bundle.knowledge_texts] == \
+                [name for name, _ in bundle.code_examples] == \
+                oracle_topological_names(result, graph)
+            assert Counter(bundle.knowledge_texts) == \
+                Counter((node.function_name, node.knowledge) for node in retrieved)
+            assert Counter(bundle.code_examples) == \
+                Counter((node.function_name, node.code) for node in retrieved)
+        assert 0 < unique < 3000  # both branches ran
 
     def test_fee_and_benchmark_questions(self, fee_graph, fee_vocab, small_workloads):
         cases = [(fee_graph, fee_vocab, [FEE_QUESTION])]
@@ -168,14 +186,15 @@ class TestAgainstRetiredAssembly:
                 assert assemble_context(result, graph) == oracle_assemble_context(result, graph)
 
     def test_call_edge_added_after_a_bundle_is_seen(self):
-        graph = DependencyGraph()
-        for name in ("alpha", "beta"):
-            graph.add_kc_node(KnowledgeCodeNode(
-                node_id=f"kc:e:{name}", function_name=name, code=f"def {name}():\n    pass",
-                knowledge=f"about {name}", origin_entries=("e",)))
+        graph = DependencyGraph(kc_nodes={f"kc:e:{name}": KnowledgeCodeNode(
+            node_id=f"kc:e:{name}", function_name=name, code=f"def {name}():\n    pass",
+            knowledge=f"about {name}", origin_entries=("e",)) for name in ("alpha", "beta")})
         result = RetrievalResult(paths=(), subgraph_nodes=frozenset(graph.kc_nodes),
                                  fallback=False, stats=SearchStats())
-        names = lambda: [name for name, _ in assemble_context(result, graph).knowledge_texts]
-        assert names() == ["alpha", "beta"]
-        graph.add_edge("kc:e:alpha", "kc:e:beta", CALL)
-        assert names() == ["beta", "alpha"]
+        names = lambda g: [name for name, _ in assemble_context(result, g).knowledge_texts]
+        assert names(graph) == ["alpha", "beta"]
+        with pytest.raises(AttributeError):
+            graph.edges.add(Edge("kc:e:alpha", "kc:e:beta", CALL))
+        called = replace(graph, edges={Edge("kc:e:alpha", "kc:e:beta", CALL)})
+        assert names(called) == ["beta", "alpha"]
+        assert names(graph) == ["alpha", "beta"]

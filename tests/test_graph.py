@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -27,6 +28,7 @@ from sgkr.graph import (
     INPUT,
     YIELDS,
     DependencyGraph,
+    Edge,
     IoNode,
     KnowledgeCodeNode,
     assemble_raw_graph,
@@ -126,12 +128,10 @@ class TestMergeIdentical:
         assert node.variants == ("def func1(x):\n    return x + 1",)
 
     def test_differing_knowledge_appended_in_entry_order(self):
-        graph = DependencyGraph()
-        for entry_id, text in (("e1", "first"), ("e2", "second"), ("e3", "first")):
-            graph.add_kc_node(KnowledgeCodeNode(
-                node_id=kc_node_id(entry_id, "f"), function_name="f",
-                code="def f():\n    pass", knowledge=text, origin_entries=(entry_id,),
-            ))
+        graph = DependencyGraph(kc_nodes={kc_node_id(entry_id, "f"): KnowledgeCodeNode(
+            node_id=kc_node_id(entry_id, "f"), function_name="f",
+            code="def f():\n    pass", knowledge=text, origin_entries=(entry_id,),
+        ) for entry_id, text in (("e1", "first"), ("e2", "second"), ("e3", "first"))})
         merged = merge_identical(graph)
         node = merged.kc_nodes[kc_node_id("e1", "f")]
         assert node.knowledge == "first\n\nsecond"
@@ -229,13 +229,14 @@ class TestValidateGraph:
 
     def test_dangling_edge_flagged(self):
         graph = assemble(make_entry("e1", "def a(x):\n    return x\n"))
-        graph.add_edge(kc_node_id("e1", "a"), "kc:e1:ghost", CALL)
+        graph = replace(graph, edges=graph.edges | {Edge(kc_node_id("e1", "a"), "kc:e1:ghost", CALL)})
         report = validate_graph(graph)
         assert any("missing node" in v for v in report.violations)
 
     def test_unattached_io_flagged(self):
         graph = assemble(make_entry("e1", "def a(x):\n    return x\n"))
-        graph.add_io_node(IoNode(node_id="io:input:x", label="x", kind=INPUT))
+        graph = replace(graph, io_nodes={"io:input:x": IoNode(node_id="io:input:x", label="x",
+                                                              kind=INPUT)})
         report = validate_graph(graph)
         assert any("unattached" in v for v in report.violations)
 
@@ -276,12 +277,12 @@ class TestValidateGraph:
                 assert any(set(cycle) <= component for component in cyclic)
 
     def test_long_call_chain_closed_on_itself(self):
-        graph = DependencyGraph()
         ids = [kc_node_id("e", f"f{i:04d}") for i in range(1500)]
-        for node_id in ids:
-            graph.add_kc_node(KnowledgeCodeNode(node_id, node_id, "c", "k", ("e",)))
-        for src, dst in zip(ids, ids[1:] + ids[:1]):
-            graph.add_edge(src, dst, CALL)
+        graph = DependencyGraph(
+            kc_nodes={node_id: KnowledgeCodeNode(node_id, node_id, "c", "k", ("e",))
+                      for node_id in ids},
+            edges={Edge(src, dst, CALL) for src, dst in zip(ids, ids[1:] + ids[:1])},
+        )
         started = time.perf_counter()
         report = validate_graph(graph)
         assert time.perf_counter() - started < 1.0
@@ -292,20 +293,44 @@ class TestValidateGraph:
         # one component, the chords give it 344 062 simple cycles.
         rng = random.Random(13)
         ids = [kc_node_id("e", f"f{i:02d}") for i in range(16)]
-        graph = DependencyGraph()
-        for node_id in ids:
-            graph.add_kc_node(KnowledgeCodeNode(node_id, node_id, "c", "k", ("e",)))
-        for src, dst in zip(ids, ids[1:] + ids[:1]):
-            graph.add_edge(src, dst, CALL)
-        chords = [(a, b) for a in ids for b in ids if a != b and (a, b, CALL) not in graph.edges]
-        for src, dst in rng.sample(chords, 59):
-            graph.add_edge(src, dst, CALL)
+        ring = {Edge(src, dst, CALL) for src, dst in zip(ids, ids[1:] + ids[:1])}
+        chords = [(a, b) for a in ids for b in ids if a != b and (a, b, CALL) not in ring]
+        graph = DependencyGraph(
+            kc_nodes={node_id: KnowledgeCodeNode(node_id, node_id, "c", "k", ("e",))
+                      for node_id in ids},
+            edges=ring | {Edge(src, dst, CALL) for src, dst in rng.sample(chords, 59)},
+        )
         assert len(graph.edges) == 75
         started = time.perf_counter()
         report = validate_graph(graph)
         assert time.perf_counter() - started < 1.0
         assert len(report.cycles) == 1
         assert report.cycles[0][0] == report.cycles[0][-1] == ids[0]
+
+
+class TestReadOnly:
+    def test_nodes_maps_and_edges_cannot_change(self, fee_graph):
+        node_id, node = next(iter(fee_graph.kc_nodes.items()))
+        with pytest.raises(FrozenInstanceError):
+            node.knowledge = "changed"
+        with pytest.raises(FrozenInstanceError):
+            fee_graph.edges = frozenset()
+        with pytest.raises(TypeError):
+            fee_graph.kc_nodes[node_id] = node
+        with pytest.raises(TypeError):
+            del fee_graph.io_nodes[next(iter(fee_graph.io_nodes))]
+        with pytest.raises(AttributeError):
+            fee_graph.edges.clear()
+
+    def test_graph_keeps_its_own_copy_and_replace_starts_a_fresh_cache(self):
+        kc_nodes = {"kc:e:f": KnowledgeCodeNode("kc:e:f", "f", "c", "k", ("e",))}
+        graph = DependencyGraph(kc_nodes=kc_nodes)
+        kc_nodes.clear()
+        assert list(graph.kc_nodes) == ["kc:e:f"]
+        graph.cache["memo"] = object()
+        changed = replace(graph, edges={Edge("kc:e:f", "kc:e:f", CALL)})
+        assert changed.cache == {} and "memo" in graph.cache
+        assert changed.kc_nodes == graph.kc_nodes and graph.edges == frozenset()
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -36,18 +37,16 @@ WIDE_LIMITS = RetrievalLimits(max_depth=16, max_paths=10**6)
 
 def chain_graph():
     """input -> f1 -> f2 -> output where f1 calls f2 and f2 yields."""
-    graph = DependencyGraph()
-    for name in ("f1", "f2"):
-        graph.add_kc_node(KnowledgeCodeNode(
+    return DependencyGraph(
+        kc_nodes={f"kc:e:{name}": KnowledgeCodeNode(
             node_id=f"kc:e:{name}", function_name=name,
             code=f"def {name}():\n    pass", knowledge=name, origin_entries=("e",),
-        ))
-    graph.add_io_node(IoNode(node_id="io:input:start", label="start", kind=INPUT))
-    graph.add_io_node(IoNode(node_id="io:output:end", label="end", kind=OUTPUT))
-    graph.add_edge("kc:e:f1", "kc:e:f2", CALL)
-    graph.add_edge("io:input:start", "kc:e:f1", FEEDS)
-    graph.add_edge("kc:e:f2", "io:output:end", YIELDS)
-    return graph
+        ) for name in ("f1", "f2")},
+        io_nodes={"io:input:start": IoNode(node_id="io:input:start", label="start", kind=INPUT),
+                  "io:output:end": IoNode(node_id="io:output:end", label="end", kind=OUTPUT)},
+        edges={Edge("kc:e:f1", "kc:e:f2", CALL), Edge("io:input:start", "kc:e:f1", FEEDS),
+               Edge("kc:e:f2", "io:output:end", YIELDS)},
+    )
 
 
 class TestFindPaths:
@@ -68,9 +67,8 @@ class TestFindPaths:
         # The input feeds the callee, the caller yields the output: the
         # CALL edge must be walked against its stored direction.
         graph = chain_graph()
-        graph.edges = {e for e in graph.edges if e.type == CALL}
-        graph.add_edge("io:input:start", "kc:e:f2", FEEDS)
-        graph.add_edge("kc:e:f1", "io:output:end", YIELDS)
+        graph = replace(graph, edges={e for e in graph.edges if e.type == CALL} | {
+            Edge("io:input:start", "kc:e:f2", FEEDS), Edge("kc:e:f1", "io:output:end", YIELDS)})
         paths = find_paths(graph, ["io:input:start"], ["io:output:end"])
         assert [p.nodes for p in paths] == [
             ("io:input:start", "kc:e:f2", "kc:e:f1", "io:output:end"),
@@ -81,12 +79,16 @@ class TestFindPaths:
 
     def test_disconnected_no_paths(self):
         graph = chain_graph()
-        graph.add_kc_node(KnowledgeCodeNode(
-            node_id="kc:e:island", function_name="island",
-            code="def island():\n    pass", knowledge="island", origin_entries=("e",),
-        ))
-        graph.add_io_node(IoNode(node_id="io:output:far", label="far", kind=OUTPUT))
-        graph.add_edge("kc:e:island", "io:output:far", YIELDS)
+        graph = replace(
+            graph,
+            kc_nodes={**graph.kc_nodes, "kc:e:island": KnowledgeCodeNode(
+                node_id="kc:e:island", function_name="island",
+                code="def island():\n    pass", knowledge="island", origin_entries=("e",),
+            )},
+            io_nodes={**graph.io_nodes,
+                      "io:output:far": IoNode(node_id="io:output:far", label="far", kind=OUTPUT)},
+            edges=graph.edges | {Edge("kc:e:island", "io:output:far", YIELDS)},
+        )
         assert find_paths(graph, ["io:input:start"], ["io:output:far"]) == []
 
     def test_unknown_node(self):
@@ -141,21 +143,17 @@ class TestFindPaths:
 def kc_graph(names, calls, feeds, yields):
     """kc nodes `names`, CALL edges `calls`, one input feeding each of
     `feeds` and one output yielded by each of `yields`."""
-    graph = DependencyGraph()
-    for name in names:
-        graph.add_kc_node(KnowledgeCodeNode(
+    return DependencyGraph(
+        kc_nodes={name: KnowledgeCodeNode(
             node_id=name, function_name=name, code=f"def {name}():\n    pass",
             knowledge=name, origin_entries=("e",),
-        ))
-    graph.add_io_node(IoNode(node_id="io:input:in", label="in", kind=INPUT))
-    graph.add_io_node(IoNode(node_id="io:output:out", label="out", kind=OUTPUT))
-    for src, dst in calls:
-        graph.add_edge(src, dst, CALL)
-    for name in feeds:
-        graph.add_edge("io:input:in", name, FEEDS)
-    for name in yields:
-        graph.add_edge(name, "io:output:out", YIELDS)
-    return graph
+        ) for name in names},
+        io_nodes={"io:input:in": IoNode(node_id="io:input:in", label="in", kind=INPUT),
+                  "io:output:out": IoNode(node_id="io:output:out", label="out", kind=OUTPUT)},
+        edges={Edge(src, dst, CALL) for src, dst in calls}
+        | {Edge("io:input:in", name, FEEDS) for name in feeds}
+        | {Edge(name, "io:output:out", YIELDS) for name in yields},
+    )
 
 
 class TestAgainstRetiredSearch:
@@ -248,14 +246,18 @@ class TestAgainstRetiredSearch:
     def test_edge_mutation_seen_by_next_retrieve(self):
         graph = chain_graph()
         tags = TagSet(inputs=frozenset({"start"}), outputs=frozenset({"end"}), fallback=False)
-        assert len(retrieve(graph, tags).paths) == 1
-        graph.edges.add(Edge("io:input:start", "kc:e:f2", FEEDS))
-        assert [p.nodes for p in retrieve(graph, tags).paths] == [
+        one_path = [("io:input:start", "kc:e:f1", "kc:e:f2", "io:output:end")]
+        assert [p.nodes for p in retrieve(graph, tags).paths] == one_path
+        with pytest.raises(AttributeError):
+            graph.edges.add(Edge("io:input:start", "kc:e:f2", FEEDS))
+        widened = replace(graph, edges=graph.edges | {Edge("io:input:start", "kc:e:f2", FEEDS)})
+        assert [p.nodes for p in retrieve(widened, tags).paths] == [
             ("io:input:start", "kc:e:f2", "io:output:end"),
-            ("io:input:start", "kc:e:f1", "kc:e:f2", "io:output:end"),
-        ]
-        graph.edges.discard(Edge("kc:e:f2", "io:output:end", YIELDS))
-        assert retrieve(graph, tags).paths == ()
+        ] + one_path
+        cut = replace(widened, edges=widened.edges - {Edge("kc:e:f2", "io:output:end", YIELDS)})
+        assert retrieve(cut, tags).paths == ()
+        assert [p.nodes for p in retrieve(graph, tags).paths] == one_path
+        assert len(retrieve(widened, tags).paths) == 2
 
 
 def hub_graph(entries):
@@ -263,25 +265,26 @@ def hub_graph(entries):
     that call one shared hub and a root that calls its steps; a topic
     input feeds and a topic output leaves every root, and the entry's own
     input feeds its first step while its own output leaves the second."""
-    graph = DependencyGraph()
-    for name in ["hub"] + [f"{kind}{i}" for i in range(entries) for kind in ("s", "t", "u", "r")]:
-        graph.add_kc_node(KnowledgeCodeNode(
-            node_id=name, function_name=name, code=f"def {name}():\n    pass",
-            knowledge=name, origin_entries=("e",),
-        ))
-    for label, kind in [("topic", INPUT), ("topic", OUTPUT)] + [
-            (f"{side}{i}", kind) for i in range(entries)
-            for side, kind in (("in", INPUT), ("out", OUTPUT))]:
-        graph.add_io_node(IoNode(node_id=graph.io_node_id(label, kind), label=label, kind=kind))
+    names = ["hub"] + [f"{kind}{i}" for i in range(entries) for kind in ("s", "t", "u", "r")]
+    labels = [("topic", INPUT), ("topic", OUTPUT)] + [
+        (f"{side}{i}", kind) for i in range(entries)
+        for side, kind in (("in", INPUT), ("out", OUTPUT))]
+    edges = set()
     for i in range(entries):
         for step in (f"s{i}", f"t{i}", f"u{i}"):
-            graph.add_edge(step, "hub", CALL)
-            graph.add_edge(f"r{i}", step, CALL)
-        graph.add_edge("io:input:topic", f"r{i}", FEEDS)
-        graph.add_edge(f"r{i}", "io:output:topic", YIELDS)
-        graph.add_edge(f"io:input:in{i}", f"s{i}", FEEDS)
-        graph.add_edge(f"t{i}", f"io:output:out{i}", YIELDS)
-    return graph
+            edges |= {Edge(step, "hub", CALL), Edge(f"r{i}", step, CALL)}
+        edges |= {Edge("io:input:topic", f"r{i}", FEEDS), Edge(f"r{i}", "io:output:topic", YIELDS),
+                  Edge(f"io:input:in{i}", f"s{i}", FEEDS),
+                  Edge(f"t{i}", f"io:output:out{i}", YIELDS)}
+    return DependencyGraph(
+        kc_nodes={name: KnowledgeCodeNode(
+            node_id=name, function_name=name, code=f"def {name}():\n    pass",
+            knowledge=name, origin_entries=("e",),
+        ) for name in names},
+        io_nodes={f"io:{kind}:{label}": IoNode(node_id=f"io:{kind}:{label}", label=label, kind=kind)
+                  for label, kind in labels},
+        edges=edges,
+    )
 
 
 @pytest.fixture()
@@ -315,7 +318,7 @@ class TestBlockFilter:
         rng = random.Random(8301)
         for case in range(1000):
             graph, sources, targets = random_io_graph(rng)
-            add_malformed_edges(rng, graph)
+            graph = add_malformed_edges(rng, graph)
             max_depth, max_paths = [(16, 64), (4, 3), (2, 1), (16, 10**6)][case % 4]
             stats = SearchStats()
             got = find_paths(graph, sources, targets, RetrievalLimits(max_depth, max_paths), stats)
@@ -328,7 +331,7 @@ class TestBlockFilter:
         rng = random.Random(8402)
         for _ in range(300):
             graph, _, _ = random_io_graph(rng)
-            add_malformed_edges(rng, graph, count=rng.randint(0, 6))
+            graph = add_malformed_edges(rng, graph, count=rng.randint(0, 6))
             index = retriever.traversal_index(graph)
             interior = index.moves.keys() & index.preds.keys()
             undirected = nx.Graph()
@@ -384,7 +387,7 @@ class TestBlockFilter:
         for case in range(1500):
             graph, sources, targets = random_io_graph(rng)
             if case % 2:
-                add_malformed_edges(rng, graph)
+                graph = add_malformed_edges(rng, graph)
             max_depth = 1 + case % 5
             stats = SearchStats()
             find_paths(graph, sources, targets, RetrievalLimits(max_depth, 10**6), stats)
@@ -417,8 +420,12 @@ class TestRetrieve:
 
     def test_two_inputs_sharing_one_output_union_counts_once(self):
         graph = chain_graph()
-        graph.add_io_node(IoNode(node_id="io:input:alt", label="alt", kind=INPUT))
-        graph.add_edge("io:input:alt", "kc:e:f2", FEEDS)
+        graph = replace(
+            graph,
+            io_nodes={**graph.io_nodes,
+                      "io:input:alt": IoNode(node_id="io:input:alt", label="alt", kind=INPUT)},
+            edges=graph.edges | {Edge("io:input:alt", "kc:e:f2", FEEDS)},
+        )
         tags = TagSet(inputs=frozenset({"start", "alt"}),
                       outputs=frozenset({"end"}), fallback=False)
         result = retrieve(graph, tags)

@@ -15,12 +15,9 @@ from sgkr.tagger import TagVocabulary, build_vocabulary, extract_tags
 
 
 def graph_with_labels(inputs, outputs):
-    graph = DependencyGraph()
-    for label in inputs:
-        graph.add_io_node(IoNode(node_id=graph.io_node_id(label, INPUT), label=label, kind=INPUT))
-    for label in outputs:
-        graph.add_io_node(IoNode(node_id=graph.io_node_id(label, OUTPUT), label=label, kind=OUTPUT))
-    return graph
+    labels = [(label, INPUT) for label in inputs] + [(label, OUTPUT) for label in outputs]
+    return DependencyGraph(io_nodes={f"io:{kind}:{label}": IoNode(
+        node_id=f"io:{kind}:{label}", label=label, kind=kind) for label, kind in labels})
 
 
 class TestBuildVocabulary:
@@ -65,6 +62,15 @@ class TestBuildVocabulary:
     def test_fee_vocabulary_contains_expected_labels(self, fee_vocab):
         assert "most expensive mcc" in fee_vocab.outputs
         assert set(fee_vocab.inputs) == {"mcc", "transaction amount", "merchant"}
+
+    def test_maps_read_only(self):
+        inputs = {"mcc": ()}
+        vocab = TagVocabulary(inputs=inputs, outputs={"fee": ()})
+        with pytest.raises(TypeError):
+            vocab.inputs["merchant"] = ()
+        inputs["merchant"] = ()
+        assert set(vocab.inputs) == {"mcc"}
+        assert extract_tags("merchant fee", vocab).inputs == frozenset()
 
 
 class TestExtractTags:
