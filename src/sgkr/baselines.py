@@ -2,20 +2,20 @@
 
 Two baselines stand in for model-based retrieval: an Okapi-style lexical
 ranker over each node's name, knowledge and code identifiers, and a
-cosine ranker over externally supplied vectors. The lexical index (node
-documents tokenized, term counts, idf) is built once per graph, which is
-read-only, and memoized on it, so an evaluation tokenizes the corpus
-once, not once per question; both rankers take their name-sorted node
-list from it. A vector store computes each vector's norm once, when it
-is made. The harness scores any retrieved name set against gold
-needed/unneeded annotations.
+cosine ranker over externally supplied vectors. The lexical index is
+inverted (term -> postings), built in one pass and memoized on the
+graph, which is read-only; a question is scored over its own terms'
+postings only. A vector store computes each vector's norm once, and the
+vector ranker takes its name-sorted node list from a memo of its own.
+The harness scores any retrieved name set against gold needed/unneeded
+annotations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,25 +32,49 @@ from .errors import (
 from .graph import DependencyGraph, KnowledgeCodeNode
 from .parser import KEYWORDS
 
-_WORD_RE = re.compile(r"\w+")
-
 BM25_K1 = 1.2
 BM25_B = 0.75
 
 
+class _WordTable(dict):
+    """A `str.translate` table that keeps the characters `\\w` matches
+    (`str.isalnum()` ones, and `_` as the table is told) and maps every
+    other code point to a space, so translating and then `str.split()`
+    gives the runs `\\w+` finds. A code point is classified when it is
+    looked up, which covers all of Unicode, and remembered if it lies in
+    the Basic Multilingual Plane, so the table holds at most 65 536
+    entries whatever the input."""
+
+    def __init__(self, underscore: str):
+        super().__init__({ord("_"): underscore})
+
+    def __missing__(self, code_point: int) -> int | str:
+        value = code_point if chr(code_point).isalnum() else " "
+        if code_point <= 0xFFFF:
+            self[code_point] = value
+        return value
+
+
+_WORDS = _WordTable(underscore="_")
+_WORD_PARTS = _WordTable(underscore=" ")
+
+
 def text_tokens(text: str) -> list[str]:
     """Lowercased word tokens; snake_case splits into its parts."""
-    tokens = []
-    for word in _WORD_RE.findall(text.lower()):
-        tokens.extend(part for part in word.split("_") if part)
-    return tokens
+    return text.lower().translate(_WORD_PARTS).split()
 
 
 def code_identifier_tokens(code: str) -> list[str]:
     """Identifier tokens of a code body, keywords and bare numbers
-    dropped, snake_case split."""
-    return [part for word in _WORD_RE.findall(code) if word not in KEYWORDS and not word.isdigit()
-            for part in word.lower().split("_") if part]
+    dropped, snake_case split.
+
+    Words are kept or dropped as written, lowercased, and only then split
+    on `_`: lowercasing can make a non-word character (``'İ'.lower()``
+    ends in U+0307), which stays in its token. Lowercasing the kept words
+    joined by spaces is exact, since a space ends a final sigma's context."""
+    kept = [word for word in code.translate(_WORDS).split()
+            if word not in KEYWORDS and not word.isdigit()]
+    return " ".join(kept).lower().replace("_", " ").split()
 
 
 def node_document_tokens(node: KnowledgeCodeNode) -> list[str]:
@@ -66,55 +90,81 @@ class LexicalRanker:
 
     The idf uses the ln(1 + (N - n + 0.5) / (n + 0.5)) form, so scores
     are non-negative and zero exactly when no query token occurs in the
-    node's document.
+    node's document. Where several nodes share a name, each counts
+    toward N and the document frequencies, and the name is scored, once
+    per node, by the document of the last of them.
     """
 
     def __init__(self, nodes: Sequence[KnowledgeCodeNode]):
-        self.names = [node.function_name for node in nodes]
-        docs = [node_document_tokens(node) for node in nodes]
-        self._term_freqs = {name: Counter(doc) for name, doc in zip(self.names, docs)}
-        self._doc_lens = {name: len(doc) for name, doc in zip(self.names, docs)}
-        n_docs = len(docs)
-        self._avgdl = (sum(self._doc_lens.values()) / n_docs) if n_docs else 0.0
-        doc_freq = Counter()
-        for doc in docs:
-            doc_freq.update(set(doc))
-        self._idf = {
-            term: math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            for term, df in doc_freq.items()
-        }
-
-    def score(self, question: str, function_name: str) -> float:
-        return self._score(text_tokens(question), function_name)
-
-    def _score(self, terms: list[str], function_name: str) -> float:
-        term_freq = self._term_freqs[function_name]
-        doc_len = self._doc_lens[function_name]
-        if not doc_len or not self._avgdl:
-            return 0.0
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / self._avgdl)
-        total = 0.0
-        for term in terms:
-            freq = term_freq.get(term)
-            if not freq:
+        self._names = sorted(node.function_name for node in nodes)
+        last = {node.function_name: i for i, node in enumerate(nodes)}
+        # term -> (names, term frequencies), one posting per scored document
+        self._postings: dict[str, tuple[list[str], list[int]]] = {}
+        doc_lens: dict[str, int] = {}
+        shadowed: Counter[str] = Counter()  # df of the documents a later node replaces
+        for i, node in enumerate(nodes):
+            tokens = node_document_tokens(node)
+            counts = Counter(tokens)
+            name = node.function_name
+            if last[name] != i:
+                shadowed.update(counts.keys())
                 continue
-            total += self._idf[term] * freq * (BM25_K1 + 1.0) / (freq + norm)
-        return total
+            doc_lens[name] = len(tokens)
+            for term, freq in counts.items():
+                posting = self._postings.get(term)
+                if posting is None:
+                    self._postings[term] = ([name], [freq])
+                else:
+                    posting[0].append(name)
+                    posting[1].append(freq)
+        n_docs = len(nodes)
+        avgdl = (sum(doc_lens.values()) / n_docs) if n_docs else 0.0
+        # Only documents with a token have postings, and then avgdl > 0.
+        self._norms = {name: BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / avgdl)
+                       for name, doc_len in doc_lens.items() if doc_len}
+        self._idf = {}
+        for term, (names, _) in self._postings.items():
+            df = len(names) + shadowed[term]
+            self._idf[term] = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
     def rank(self, question: str) -> list[tuple[str, float]]:
-        terms = text_tokens(question)
-        scored = [(name, self._score(terms, name)) for name in self.names]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored
+        """Every node's name with its score, highest first, ties by name.
+
+        Scores accumulate term by term over the question's postings;
+        each document adds its terms in question order from 0.0, as a
+        per-document sum would. A name with no posting scores 0.0."""
+        scores: dict[str, float] = {}
+        norms = self._norms
+        for term in text_tokens(question):
+            posting = self._postings.get(term)
+            if posting is None:
+                continue
+            idf = self._idf[term]
+            for name, freq in zip(*posting):
+                scores[name] = (scores.get(name, 0.0)
+                                + idf * freq * (BM25_K1 + 1.0) / (freq + norms[name]))
+        ranked = [(name, scores[name]) for name in self._names if name in scores]
+        ranked.sort(key=lambda item: -item[1])  # stable: equal scores stay in name order
+        ranked += [(name, 0.0) for name in self._names if name not in scores]
+        return ranked
 
 
 def lexical_ranker(graph: DependencyGraph) -> LexicalRanker:
-    """The graph's ranker over its nodes sorted by name, built on first use."""
+    """The graph's ranker over its nodes, built on first use."""
     ranker = graph.cache.get("lexical")
     if ranker is None:
-        ranker = graph.cache["lexical"] = LexicalRanker(
-            sorted(graph.kc_nodes.values(), key=lambda node: node.function_name))
+        ranker = graph.cache["lexical"] = LexicalRanker(list(graph.kc_nodes.values()))
     return ranker
+
+
+def sorted_names(graph: DependencyGraph) -> list[str]:
+    """The graph's function names in name order, one per node, built on
+    first use."""
+    names = graph.cache.get("names")
+    if names is None:
+        names = graph.cache["names"] = sorted(node.function_name
+                                              for node in graph.kc_nodes.values())
+    return names
 
 
 @dataclass(frozen=True)
@@ -172,9 +222,11 @@ def load_vectors(path: str | Path) -> VectorStore:
                                   f"{first_line[name]}")
         first_line[name] = lineno
         try:
-            values = tuple(float(piece) for piece in payload.split())
+            values = tuple(map(float, payload.split()))
         except ValueError as exc:
             raise SchemaViolation(f"line {lineno}: bad float") from exc
+        if not all(map(math.isfinite, values)):
+            raise SchemaViolation(f"line {lineno}: {name!r} has a non-finite component")
         if len(values) != dimension:
             raise VectorDimensionMismatch(
                 f"line {lineno}: {name!r} has {len(values)} components, expected {dimension}"
@@ -184,17 +236,13 @@ def load_vectors(path: str | Path) -> VectorStore:
 
 
 def _norm(vector: Sequence[float]) -> float:
-    return math.sqrt(sum(x * x for x in vector))
+    return math.sqrt(sum(map(operator.mul, vector, vector)))
 
 
 def _cosine(a: Sequence[float], norm_a: float, b: Sequence[float], norm_b: float) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    return sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
-
-
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    return _cosine(a, _norm(a), b, _norm(b))
+    return sum(map(operator.mul, a, b)) / (norm_a * norm_b)
 
 
 def retrieve_topk(
@@ -213,7 +261,7 @@ def retrieve_topk(
     elif scorer == "vectors":
         if vectors is None:
             raise ValueError("scorer 'vectors' requires a VectorStore")
-        ranked = vectors.rank(question, lexical_ranker(graph).names)
+        ranked = vectors.rank(question, sorted_names(graph))
     else:
         raise ValueError(f"unknown scorer {scorer!r}")
     return [name for name, _ in ranked[:k]]
@@ -233,7 +281,7 @@ def load_gold(path: str | Path) -> list[GoldAnnotation]:
         raise MissingFile(f"gold file not found: {path}")
     try:
         raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"gold file is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise SchemaViolation("gold file must be a JSON list")

@@ -41,7 +41,7 @@ def _load_config() -> Config:
         return config
     try:
         raw = json.loads(corpus.read_text(Path(config_path)))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SgkrError(f"config file {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SgkrError(f"config file {config_path} must contain a JSON object")

@@ -146,7 +146,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         raise MissingFile(f"manifest not found: {manifest_path}")
     try:
         raw = json.loads(read_text(manifest_path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedManifest(f"not valid JSON: {exc}") from exc
 
     _require(isinstance(raw, dict), "manifest must be an object", "")

@@ -430,7 +430,7 @@ def deserialize(document: str) -> DependencyGraph:
     node id given twice."""
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
     raw = _check_fields(raw, _DOC_FIELDS, "document")
     if raw["format_version"] != FORMAT_VERSION:

@@ -65,7 +65,7 @@ def load_aliases(path: str | Path) -> dict[str, dict[str, str]]:
         raise MissingFile(f"alias file not found: {path}")
     try:
         raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"alias file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaViolation("alias file must be a JSON object")

@@ -6,11 +6,14 @@ that tests compare two separately written routes to the same answer.
 
 from __future__ import annotations
 
+import math
 import random
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
+from typing import Sequence
 
+from sgkr.baselines import BM25_B, BM25_K1
 from sgkr.context import ContextBundle
 from sgkr.corpus import normalize_label
 from sgkr.graph import (
@@ -556,3 +559,64 @@ def oracle_assemble_context(result: RetrievalResult, graph: DependencyGraph) -> 
         code_examples=tuple((name, by_name[name].code) for name in ordered),
         source_paths=result.paths,
     )
+
+
+_ORACLE_WORD_RE = re.compile(r"\w+")
+
+
+def oracle_text_tokens(text: str) -> list[str]:
+    """The retired text tokenizer: `\\w+` runs of the lowercased text,
+    each split on `_`."""
+    tokens = []
+    for word in _ORACLE_WORD_RE.findall(text.lower()):
+        tokens.extend(part for part in word.split("_") if part)
+    return tokens
+
+
+def oracle_code_identifier_tokens(code: str) -> list[str]:
+    """The retired code tokenizer: `\\w+` runs of the code as written,
+    keywords and digit runs dropped, each lowercased and split on `_`."""
+    return [part for word in _ORACLE_WORD_RE.findall(code)
+            if word not in KEYWORDS and not word.isdigit()
+            for part in word.lower().split("_") if part]
+
+
+def oracle_node_document_tokens(node: KnowledgeCodeNode) -> list[str]:
+    return (oracle_text_tokens(node.function_name) + oracle_text_tokens(node.knowledge)
+            + oracle_code_identifier_tokens(node.code))
+
+
+def oracle_bm25_rank(nodes: Sequence[KnowledgeCodeNode], question: str) -> list[tuple[str, float]]:
+    """The retired document-major Okapi ranker: every document's token
+    list and one `Counter` per name (the last node of a repeated name
+    wins), then a per-document sum over the question's terms for every
+    node, sorted by score, ties by name."""
+    names = [node.function_name for node in nodes]
+    docs = [oracle_node_document_tokens(node) for node in nodes]
+    term_freqs = {name: Counter(doc) for name, doc in zip(names, docs)}
+    doc_lens = {name: len(doc) for name, doc in zip(names, docs)}
+    n_docs = len(docs)
+    avgdl = (sum(doc_lens.values()) / n_docs) if n_docs else 0.0
+    doc_freq: Counter[str] = Counter()
+    for doc in docs:
+        doc_freq.update(set(doc))
+    idf = {term: math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+           for term, df in doc_freq.items()}
+
+    def score(terms: list[str], name: str) -> float:
+        term_freq, doc_len = term_freqs[name], doc_lens[name]
+        if not doc_len or not avgdl:
+            return 0.0
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / avgdl)
+        total = 0.0
+        for term in terms:
+            freq = term_freq.get(term)
+            if not freq:
+                continue
+            total += idf[term] * freq * (BM25_K1 + 1.0) / (freq + norm)
+        return total
+
+    terms = oracle_text_tokens(question)
+    scored = [(name, score(terms, name)) for name in names]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored

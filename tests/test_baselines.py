@@ -1,17 +1,29 @@
 from __future__ import annotations
 
 import math
+import random
+import re
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FEE_QUESTION
+from oracles import (
+    oracle_bm25_rank,
+    oracle_code_identifier_tokens,
+    oracle_node_document_tokens,
+    oracle_text_tokens,
+)
+from sgkr import baselines, build_graph, load_corpus
 from sgkr.baselines import (
     BM25_B,
     BM25_K1,
     GoldAnnotation,
     LexicalRanker,
-    cosine,
+    code_identifier_tokens,
     evaluate,
     format_eval_table,
     lexical_ranker,
@@ -20,6 +32,7 @@ from sgkr.baselines import (
     node_document_tokens,
     retrieve_topk,
     score_retrieval,
+    sorted_names,
     text_tokens,
 )
 from sgkr.errors import (
@@ -29,6 +42,7 @@ from sgkr.errors import (
     VectorDimensionMismatch,
 )
 from sgkr.graph import DependencyGraph, KnowledgeCodeNode
+from sgkr.parser import KEYWORDS
 
 
 def make_node(name, knowledge="", code=None):
@@ -41,13 +55,23 @@ def make_node(name, knowledge="", code=None):
 
 
 def retired_cosine(a, b):
-    """The cosine as computed once per node pair, norms included."""
+    """The cosine as computed once per node pair, norms included (the
+    same floats as the library's former public `cosine(a, b)`)."""
     dot = sum(x * y for x, y in zip(a, b))
     norm_a = math.sqrt(sum(x * x for x in a))
     norm_b = math.sqrt(sum(y * y for y in b))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+# Text that stresses the tokenizers: case and length changing lowercase
+# ('İ', 'ß', 'Σ'), non-decimal digits ('²', Arabic-Indic), a ligature,
+# combining marks, runs of '_', and keywords in mixed case.
+SPECIAL = ["İ", "ß", "ẞ", "Σ", "ς", "²", "٣", "٤٥", "ﬁ", "e\u0301", "\u0307", "\u0300",
+           "_", "__", "___", "def", "DEF", "Return", "pass", "None", "10000", "x2", "Ǆ"]
+WORDISH = st.lists(st.one_of(st.sampled_from(SPECIAL), st.text(max_size=3),
+                             st.sampled_from(sorted(KEYWORDS))), max_size=6).map("".join)
 
 
 def small_graph(*nodes):
@@ -67,15 +91,55 @@ class TestTokenization:
         assert "10000" not in tokens
         assert "def" not in tokens
 
+    def test_lowercasing_is_not_retokenized(self):
+        # 'İ'.lower() is 'i' + U+0307, a non-word character: prose is
+        # lowercased before it is split, a code word after.
+        assert text_tokens("İstanbul") == ["i", "stanbul"]
+        assert code_identifier_tokens("İ_a") == ["i\u0307", "a"]
+
+    def test_word_characters_are_alphanumerics_and_underscore(self):
+        """The premises of the `str.translate` tokenizers, over every code
+        point: `\\w` matches exactly `str.isalnum()` and `_`, and
+        lowercasing never makes whitespace or `_`."""
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert [match.start() for match in re.finditer(r"\w", everything)] == \
+            [i for i, char in enumerate(everything) if char.isalnum() or char == "_"]
+        lowered = everything.lower()
+        assert sum(map(str.isspace, lowered)) == sum(map(str.isspace, everything))
+        assert lowered.count("_") == 1
+
+    def test_tables_remember_only_the_basic_multilingual_plane(self):
+        astral = " ".join(map(chr, range(0x1D400, 0x1D800)))  # mathematical letters and digits
+        assert text_tokens(astral) == oracle_text_tokens(astral)
+        assert code_identifier_tokens(astral) == oracle_code_identifier_tokens(astral)
+        assert max(baselines._WORD_PARTS) <= 0xFFFF
+        assert max(baselines._WORDS) <= 0xFFFF
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WORDISH, max_size=12).map(" ".join))
+    def test_text_tokens_match_oracle(self, text):
+        assert text_tokens(text) == oracle_text_tokens(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WORDISH, max_size=12).map(" ".join))
+    def test_code_tokens_match_oracle(self, code):
+        assert code_identifier_tokens(code) == oracle_code_identifier_tokens(code)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40), st.text(max_size=40), st.text(max_size=40))
+    def test_document_tokens_match_oracle_on_any_text(self, name, knowledge, code):
+        node = make_node(name or "f", knowledge=knowledge, code=code)
+        assert node_document_tokens(node) == oracle_node_document_tokens(node)
+
 
 class TestLexicalRanker:
     def test_zero_when_no_shared_token(self):
         ranker = LexicalRanker([make_node("alpha"), make_node("beta")])
-        assert ranker.score("zebra crossing", "alpha") == 0.0
+        assert dict(ranker.rank("zebra crossing"))["alpha"] == 0.0
 
     def test_positive_on_name_match(self):
         ranker = LexicalRanker([make_node("alpha")])
-        assert ranker.score("alpha", "alpha") > 0.0
+        assert dict(ranker.rank("alpha"))["alpha"] > 0.0
 
     def test_scores_are_never_negative(self, fee_graph):
         nodes = sorted(fee_graph.kc_nodes.values(), key=lambda n: n.function_name)
@@ -97,21 +161,78 @@ class TestLexicalRanker:
         idf = math.log(1 + (2 - df + 0.5) / (df + 0.5))
         norm = BM25_K1 * (1 - BM25_B + BM25_B * doc_len / avgdl)
         expected = idf * freq * (BM25_K1 + 1) / (freq + norm)
-        assert ranker.score("alpha", "alpha") == pytest.approx(expected)
+        assert dict(ranker.rank("alpha"))["alpha"] == pytest.approx(expected)
 
     def test_fee_question_misleads_toward_scheme_ranking(self, fee_graph):
         nodes = sorted(fee_graph.kc_nodes.values(), key=lambda n: n.function_name)
-        ranker = LexicalRanker(nodes)
-        assert ranker.score(FEE_QUESTION, "cheapest_card_scheme") > \
-            ranker.score(FEE_QUESTION, "rule_applies")
+        scores = dict(LexicalRanker(nodes).rank(FEE_QUESTION))
+        assert scores["cheapest_card_scheme"] > scores["rule_applies"]
 
     def test_scores_independent_of_document_order(self, fee_graph):
         nodes = sorted(fee_graph.kc_nodes.values(), key=lambda n: n.function_name)
         forward = LexicalRanker(nodes)
         backward = LexicalRanker(list(reversed(nodes)))
-        for node in nodes:
-            assert forward.score(FEE_QUESTION, node.function_name) == \
-                pytest.approx(backward.score(FEE_QUESTION, node.function_name))
+        assert forward.rank(FEE_QUESTION) == backward.rank(FEE_QUESTION)
+
+
+FEE_EXTRA_QUESTIONS = [
+    FEE_QUESTION + " fee fee rule",  # repeated terms
+    "", "???", "zebra crossing", "FEE fee_rule MCC mcc", "sum sum sum sum",
+]
+
+
+class TestAgainstOracleRanker:
+    """`rank` equals the retired document-major ranker exactly: the same
+    names in the same order and the same floats, compared with `==`."""
+
+    def test_fee_graph(self, fee_graph, fixture_dir):
+        nodes = sorted(fee_graph.kc_nodes.values(), key=lambda n: n.function_name)
+        ranker = LexicalRanker(nodes)
+        questions = [annotation.question for annotation in load_gold(fixture_dir / "gold.json")]
+        for question in questions + FEE_EXTRA_QUESTIONS:
+            assert ranker.rank(question) == oracle_bm25_rank(nodes, question)
+            assert lexical_ranker(fee_graph).rank(question) == oracle_bm25_rank(nodes, question)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["alpha", "beta", "gamma", "f_1", "İx", "ß"]),
+                           st.lists(WORDISH, max_size=6).map(" ".join),
+                           st.lists(WORDISH, max_size=8).map(" ".join)),
+                 max_size=8),
+        st.lists(st.lists(WORDISH, max_size=6).map(" ".join), min_size=1, max_size=3),
+    )
+    def test_random_node_sets(self, specs, questions):
+        """Names repeat, documents can be empty, and the question's terms
+        can repeat or be absent from every document."""
+        nodes = [KnowledgeCodeNode(node_id=f"kc:e{i}:{name}", function_name=name, code=code,
+                                   knowledge=knowledge, origin_entries=(f"e{i}",))
+                 for i, (name, knowledge, code) in enumerate(specs)]
+        ranker = LexicalRanker(nodes)
+        for question in questions + [" ".join(questions)]:
+            assert ranker.rank(question) == oracle_bm25_rank(nodes, question)
+
+    def test_repeated_name_scored_by_its_last_node(self):
+        nodes = [make_node("f", knowledge="gamma gamma"), make_node("f", knowledge="delta"),
+                 make_node("g", knowledge="gamma")]
+        for question in ("gamma", "delta", "gamma delta f"):
+            assert LexicalRanker(nodes).rank(question) == oracle_bm25_rank(nodes, question)
+        assert [name for name, _ in LexicalRanker(nodes).rank("delta")] == ["f", "f", "g"]
+
+    @pytest.mark.parametrize("size", ["small", "full"])
+    def test_perfbench_cli_corpus(self, size, small_workloads, perfbench_gen, tmp_path):
+        """The benchmark's `cli` corpus (seed 5) with its gold questions and
+        workload questions (the first three at the benchmark's own size,
+        where each oracle call tokenizes 4 101 documents)."""
+        if size == "small":
+            graph, _, questions, data = small_workloads["cli"]
+        else:
+            data = perfbench_gen.cli_workload(random.Random(5), tmp_path)
+            graph, questions = build_graph(load_corpus(data.manifest)), data.questions[:3]
+        nodes = sorted(graph.kc_nodes.values(), key=lambda n: n.function_name)
+        gold = [annotation.question for annotation in load_gold(data.gold)]
+        ranker = lexical_ranker(graph)
+        for question in gold + questions:
+            assert ranker.rank(question) == oracle_bm25_rank(nodes, question)
 
 
 class TestRetrieveTopk:
@@ -143,8 +264,18 @@ class TestRetrieveTopk:
         question = FEE_QUESTION + " fee fee rule"  # repeated terms
         ranked = lexical_ranker(fee_graph).rank(question)
         assert ranked == fresh.rank(question)
-        assert ranked == sorted(((node.function_name, fresh.score(question, node.function_name))
-                                 for node in nodes), key=lambda item: (-item[1], item[0]))
+        assert [(name, score.hex()) for name, score in ranked] == \
+            [(name, score.hex()) for name, score in oracle_bm25_rank(nodes, question)]
+
+    def test_vectors_alone_build_no_lexical_index(self, fixture_dir):
+        graph = build_graph(load_corpus(fixture_dir / "manifest.json"))
+        store = load_vectors(fixture_dir / "vectors.txt")
+        question = load_gold(fixture_dir / "gold.json")[0].question
+        top = retrieve_topk(question, graph, 3, scorer="vectors", vectors=store)
+        assert len(top) == 3
+        assert "lexical" not in graph.cache
+        assert sorted_names(graph) is graph.cache["names"]
+        assert sorted_names(graph) == sorted(n.function_name for n in graph.kc_nodes.values())
 
     @pytest.mark.parametrize("gold_set", ["fee", "cli"])
     def test_vector_scores_are_bit_identical(self, gold_set, fee_graph, fixture_dir,
@@ -164,7 +295,7 @@ class TestRetrieveTopk:
             expected = sorted(((node.function_name,
                                 retired_cosine(query, store.get(node.function_name)))
                                for node in nodes), key=lambda item: (-item[1], item[0]))
-            ranked = store.rank(annotation.question, lexical_ranker(graph).names)
+            ranked = store.rank(annotation.question, sorted_names(graph))
             assert [(name, score.hex()) for name, score in ranked] == \
                 [(name, score.hex()) for name, score in expected]
             assert retrieve_topk(annotation.question, graph, len(nodes), scorer="vectors",
@@ -227,11 +358,27 @@ class TestVectors:
         with pytest.raises(SchemaViolation, match=r"line 4: 'f' already has a vector on line 2"):
             load_vectors(path)
 
-    def test_cosine_zero_vector(self):
-        assert cosine((0.0, 0.0), (1.0, 0.0)) == 0.0
+    @pytest.mark.parametrize("component", ["nan", "-inf", "inf"])
+    def test_non_finite_component_rejected(self, tmp_path, component):
+        path = tmp_path / "v.txt"
+        path.write_text(f"2\nq\t1 1\nb\t1 0\nc\t0 {component}\n")
+        with pytest.raises(SchemaViolation, match=r"^line 4: 'c' has a non-finite component$"):
+            load_vectors(path)
 
-    def test_cosine_parallel(self):
-        assert cosine((2.0, 0.0), (4.0, 0.0)) == pytest.approx(1.0)
+    def test_cosine_zero_vector(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2\nq\t1 0\nzero\t0 0\nq0\t0 0\n")
+        store = load_vectors(path)
+        assert store.rank("q", ["zero"]) == [("zero", 0.0)]
+        assert store.rank("q0", ["q"]) == [("q", 0.0)]
+
+    def test_cosine_parallel(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2\nq\t2 0\na\t4 0\nb\t0 3\n")
+        store = load_vectors(path)
+        assert store.rank("q", ["b", "a"]) == [("a", retired_cosine((2.0, 0.0), (4.0, 0.0))),
+                                               ("b", 0.0)]
+        assert store.rank("q", ["a"])[0][1] == pytest.approx(1.0)
 
 
 class TestScoreRetrieval:

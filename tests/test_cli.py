@@ -360,6 +360,31 @@ class TestInputEncoding:
         assert "Traceback" not in captured.err
 
 
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the decoder's recursion limit is an input
+    error like any other malformed JSON, in every JSON file the CLI reads."""
+
+    @pytest.mark.parametrize("kind", ["graph", "manifest", "aliases", "gold", "config"])
+    def test_is_error_not_traceback(self, kind, graph_path, tmp_path, capsys, monkeypatch):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        argv = {
+            "graph": ["query", "--graph", str(deep), "--question", FEE_QUESTION],
+            "manifest": ["build", "--manifest", str(deep), "--graph", str(tmp_path / "g.json")],
+            "aliases": ["query", "--graph", graph_path, "--aliases", str(deep),
+                        "--question", FEE_QUESTION],
+            "gold": ["eval", "--graph", graph_path, "--gold", str(deep)],
+            "config": ["query", "--graph", graph_path, "--question", FEE_QUESTION],
+        }[kind]
+        if kind == "config":
+            monkeypatch.setenv("SGKR_CONFIG", str(deep))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines()[-1].startswith("error:")
+        assert "Traceback" not in captured.err
+
+
 class TestConfigFile:
     def test_env_config_supplies_defaults(self, graph_path, tmp_path, capsys, monkeypatch):
         config = tmp_path / "config.json"
