@@ -27,7 +27,6 @@ from .corpus import (
     IoSpec,
     load_corpus,
     normalize_label,
-    save_corpus,
 )
 from .graph import (
     CALL,

@@ -91,13 +91,13 @@ class LexicalRanker:
     The idf uses the ln(1 + (N - n + 0.5) / (n + 0.5)) form, so scores
     are non-negative and zero exactly when no query token occurs in the
     node's document. Where several nodes share a name, each counts
-    toward N and the document frequencies, and the name is scored, once
-    per node, by the document of the last of them.
+    toward N and the document frequencies, and the name is listed once,
+    scored by the document of the last of them.
     """
 
     def __init__(self, nodes: Sequence[KnowledgeCodeNode]):
-        self._names = sorted(node.function_name for node in nodes)
         last = {node.function_name: i for i, node in enumerate(nodes)}
+        self._names = sorted(last)
         # term -> (names, term frequencies), one posting per scored document
         self._postings: dict[str, tuple[list[str], list[int]]] = {}
         doc_lens: dict[str, int] = {}
@@ -128,7 +128,8 @@ class LexicalRanker:
             self._idf[term] = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
     def rank(self, question: str) -> list[tuple[str, float]]:
-        """Every node's name with its score, highest first, ties by name.
+        """Every function name once, with its score, highest first, ties
+        by name.
 
         Scores accumulate term by term over the question's postings;
         each document adds its terms in question order from 0.0, as a
@@ -158,12 +159,12 @@ def lexical_ranker(graph: DependencyGraph) -> LexicalRanker:
 
 
 def sorted_names(graph: DependencyGraph) -> list[str]:
-    """The graph's function names in name order, one per node, built on
-    first use."""
+    """The graph's distinct function names in name order, built on first
+    use."""
     names = graph.cache.get("names")
     if names is None:
-        names = graph.cache["names"] = sorted(node.function_name
-                                              for node in graph.kc_nodes.values())
+        names = graph.cache["names"] = sorted({node.function_name
+                                               for node in graph.kc_nodes.values()})
     return names
 
 
@@ -253,7 +254,7 @@ def retrieve_topk(
     vectors: VectorStore | None = None,
 ) -> list[str]:
     """Top-k function names under the chosen scorer, highest score first,
-    ties by name. Returns exactly min(k, node count) names."""
+    ties by name. Returns exactly min(k, distinct name count) names."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if scorer == "lexical":

@@ -8,6 +8,7 @@ defaults; explicit flags always win.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -74,7 +75,21 @@ def _load_graph(path: str | None) -> graphmod.DependencyGraph:
     graph_path = Path(path)
     if not graph_path.is_file():
         raise SgkrError(f"graph document not found: {graph_path}")
-    return graphmod.deserialize(corpus.read_text(graph_path))
+    # The graph holds no cycles and lives as long as the command, so the
+    # cyclic collector gains nothing by scanning it: it is paused while
+    # the document is read, and what was loaded is then frozen out of its
+    # reach. Unfreezing is all or nothing, so nothing is frozen when
+    # something already is; `main` puts the collector back as it was.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loaded = graphmod.deserialize(corpus.read_text(graph_path))
+    finally:
+        if enabled:
+            gc.enable()
+    if not gc.get_freeze_count():
+        gc.freeze()
+    return loaded
 
 
 def _build_vocab(g: graphmod.DependencyGraph, aliases_path: str | None) -> tagger.TagVocabulary:
@@ -261,6 +276,7 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
+    collector_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     try:
         config = _merge(_load_config(), args)
         if args.command == "build":
@@ -278,6 +294,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if not frozen:
+            gc.unfreeze()
+        if collector_enabled:
+            gc.enable()
+        else:
+            gc.disable()
     return 2
 
 

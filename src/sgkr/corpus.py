@@ -168,25 +168,3 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         entries.append(entry)
 
     return Corpus(name=raw["corpus_name"], version=raw["version"], entries=tuple(entries))
-
-
-def save_corpus(corpus: Corpus, directory: str | Path, manifest_name: str = "manifest.json") -> Path:
-    """Write a corpus back to disk as a manifest plus one source file per
-    entry. Loading the written manifest yields an equal Corpus."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for entry in corpus.entries:
-        source_name = f"{entry.entry_id}.py"
-        (directory / source_name).write_text(entry.source_text, encoding="utf-8")
-        entries.append({
-            "id": entry.entry_id,
-            "source": source_name,
-            "inputs": [{"label": d.label, "anchor": d.anchor} for d in entry.io_spec.inputs],
-            "outputs": [{"label": d.label, "anchor": d.anchor} for d in entry.io_spec.outputs],
-            "knowledge": entry.knowledge_map,
-        })
-    document = {"corpus_name": corpus.name, "version": corpus.version, "entries": entries}
-    manifest_path = directory / manifest_name
-    manifest_path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return manifest_path

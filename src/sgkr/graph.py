@@ -7,8 +7,8 @@ them to their anchor functions. The merged graph is what retrieval runs
 against and what gets persisted.
 
 Nodes and graphs are read-only once made. Each step, like `deserialize`,
-fills local dicts and a set and makes its graph once; a changed node or
-graph is a new one, made with `dataclasses.replace`.
+fills local dicts and an edge collection and makes its graph once; a
+changed node or graph is a new one, made with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -377,40 +379,72 @@ def validate_graph(graph: DependencyGraph) -> GraphReport:
     return GraphReport(violations=tuple(violations), cycles=tuple(_call_cycles(graph)))
 
 
+def _json_array(items: list[str], indent: str) -> list[str]:
+    """The pieces of the JSON array `json.dumps(..., indent=2)` writes at
+    `indent` for the encoded `items`: one item a line, two spaces in from
+    the brackets. Pieces, not one string, so that the document is the
+    only large string the writer makes."""
+    if not items:
+        return ["[]"]
+    inner = indent + "  "
+    pieces = [",\n" + inner] * (2 * len(items) + 1)
+    pieces[1::2] = items
+    pieces[0] = "[\n" + inner
+    pieces[-1] = "\n" + indent + "]"
+    return pieces
+
+
+def _json_strings(texts: tuple[str, ...]) -> str:
+    """A list of strings as `json.dumps(..., indent=2)` writes it inside a
+    top-level array's record."""
+    return "".join(_json_array(list(map(encode_basestring_ascii, texts)), "      "))
+
+
 def serialize(graph: DependencyGraph) -> str:
     """Canonical graph document: nodes and edges sorted, stable JSON
-    layout, so equal graphs serialize to byte-identical text."""
-    document = {
-        "format_version": FORMAT_VERSION,
-        "kc_nodes": [
-            {
-                "node_id": node.node_id,
-                "function_name": node.function_name,
-                "code": node.code,
-                "knowledge": node.knowledge,
-                "origin_entries": list(node.origin_entries),
-                "variants": list(node.variants),
-            }
-            for _, node in sorted(graph.kc_nodes.items())
-        ],
-        "io_nodes": [
-            {"node_id": node.node_id, "label": node.label, "kind": node.kind}
-            for _, node in sorted(graph.io_nodes.items())
-        ],
-        "edges": [
-            {"src": edge.src, "dst": edge.dst, "type": edge.type}
-            for edge in sorted(graph.edges)
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    layout, so equal graphs serialize to byte-identical text.
+
+    The layout is the one `json.dumps(document, indent=2, sort_keys=True)`
+    writes, filled in record by record with the `json` module's own
+    ASCII string encoder."""
+    q = encode_basestring_ascii
+    kc_nodes = [
+        f'{{\n      "code": {q(node.code)},\n'
+        f'      "function_name": {q(node.function_name)},\n'
+        f'      "knowledge": {q(node.knowledge)},\n'
+        f'      "node_id": {q(node.node_id)},\n'
+        f'      "origin_entries": {_json_strings(node.origin_entries)},\n'
+        f'      "variants": {_json_strings(node.variants)}\n    }}'
+        for _, node in sorted(graph.kc_nodes.items())
+    ]
+    io_nodes = [
+        f'{{\n      "kind": {q(node.kind)},\n      "label": {q(node.label)},\n'
+        f'      "node_id": {q(node.node_id)}\n    }}'
+        for _, node in sorted(graph.io_nodes.items())
+    ]
+    edges = [
+        f'{{\n      "dst": {q(edge.dst)},\n      "src": {q(edge.src)},\n'
+        f'      "type": {q(edge.type)}\n    }}'
+        for edge in sorted(graph.edges)
+    ]
+    return "".join([
+        '{\n  "edges": ', *_json_array(edges, "  "),
+        ',\n  "format_version": ', q(FORMAT_VERSION),
+        ',\n  "io_nodes": ', *_json_array(io_nodes, "  "),
+        ',\n  "kc_nodes": ', *_json_array(kc_nodes, "  "), "\n}\n",
+    ])
 
 
-# Each record's fields and their JSON types.
+# Each record's fields and their JSON types, and a getter of the fields'
+# values in that order.
 _KC_FIELDS = {"node_id": str, "function_name": str, "code": str, "knowledge": str,
               "origin_entries": list, "variants": list}
 _IO_NODE_FIELDS = {"node_id": str, "label": str, "kind": str}
 _EDGE_FIELDS = {"src": str, "dst": str, "type": str}
 _DOC_FIELDS = {"format_version": object, "kc_nodes": list, "io_nodes": list, "edges": list}
+_kc_values = itemgetter(*_KC_FIELDS)
+_io_node_values = itemgetter(*_IO_NODE_FIELDS)
+_edge_values = itemgetter(*_EDGE_FIELDS)
 
 
 def _check_fields(record: object, expected: dict[str, type], where: str) -> dict:
@@ -427,7 +461,12 @@ def _check_fields(record: object, expected: dict[str, type], where: str) -> dict
 def deserialize(document: str) -> DependencyGraph:
     """Parse a graph document produced by `serialize`. Raises
     SchemaViolation on a missing, unknown or wrongly typed field and on a
-    node id given twice."""
+    node id given twice.
+
+    Each record is checked inline, in one pass. `json.loads` makes exact
+    dicts, lists and strs only, so `type(value) is str` is the
+    `isinstance` test of `_check_fields`; that runs only on a record that
+    fails, to raise the message."""
     try:
         raw = json.loads(document)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -439,25 +478,33 @@ def deserialize(document: str) -> DependencyGraph:
             f"(expected {FORMAT_VERSION!r})"
         )
     kc_nodes: dict[str, KnowledgeCodeNode] = {}
-    io_nodes: dict[str, IoNode] = {}
-    edges: set[Edge] = set()
+    kc_keys = _KC_FIELDS.keys()
     for i, record in enumerate(raw["kc_nodes"]):
-        record = _check_fields(record, _KC_FIELDS, f"kc_nodes[{i}]")
-        if not all(isinstance(text, str) for text in record["origin_entries"] + record["variants"]):
-            raise SchemaViolation(f"kc_nodes[{i}]: origin_entries and variants must hold strings")
-        kc_nodes[record["node_id"]] = KnowledgeCodeNode(
-            node_id=record["node_id"],
-            function_name=record["function_name"],
-            code=record["code"],
-            knowledge=record["knowledge"],
-            origin_entries=tuple(record["origin_entries"]),
-            variants=tuple(record["variants"]),
-        )
+        if type(record) is dict and record.keys() == kc_keys:
+            node_id, name, code, knowledge, origins, variants = _kc_values(record)
+            if (type(node_id) is str and type(name) is str and type(code) is str
+                    and type(knowledge) is str and type(origins) is list
+                    and type(variants) is list):
+                for text in origins + variants:
+                    if type(text) is not str:
+                        break
+                else:
+                    kc_nodes[node_id] = KnowledgeCodeNode(node_id, name, code, knowledge,
+                                                          tuple(origins), tuple(variants))
+                    continue
+        _check_fields(record, _KC_FIELDS, f"kc_nodes[{i}]")
+        raise SchemaViolation(f"kc_nodes[{i}]: origin_entries and variants must hold strings")
+    io_nodes: dict[str, IoNode] = {}
+    io_keys = _IO_NODE_FIELDS.keys()
     for i, record in enumerate(raw["io_nodes"]):
-        record = _check_fields(record, _IO_NODE_FIELDS, f"io_nodes[{i}]")
-        if record["kind"] not in (INPUT, OUTPUT):
-            raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
-        io_nodes[record["node_id"]] = IoNode(**record)
+        if type(record) is dict and record.keys() == io_keys:
+            node_id, label, kind = _io_node_values(record)
+            if (type(node_id) is str and type(label) is str and type(kind) is str
+                    and (kind == INPUT or kind == OUTPUT)):
+                io_nodes[node_id] = IoNode(node_id, label, kind)
+                continue
+        _check_fields(record, _IO_NODE_FIELDS, f"io_nodes[{i}]")
+        raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
     known = kc_nodes.keys() | io_nodes.keys()
     if len(known) < len(raw["kc_nodes"]) + len(raw["io_nodes"]):
         seen: set[str] = set()
@@ -465,15 +512,22 @@ def deserialize(document: str) -> DependencyGraph:
             if record["node_id"] in seen:
                 raise SchemaViolation(f"duplicate node_id {record['node_id']!r}")
             seen.add(record["node_id"])
+    edges: list[Edge] = []
+    edge_keys = _EDGE_FIELDS.keys()
     for i, record in enumerate(raw["edges"]):
-        record = _check_fields(record, _EDGE_FIELDS, f"edges[{i}]")
-        edge = Edge(record["src"], record["dst"], record["type"])
-        if edge.type not in EDGE_TYPES:
-            raise SchemaViolation(f"edges[{i}]: bad type {edge.type!r}")
-        if edge.src not in known or edge.dst not in known:
-            raise SchemaViolation(f"edges[{i}]: dangling endpoint")
-        edges.add(edge)
-    return DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=edges)
+        if type(record) is dict and record.keys() == edge_keys:
+            values = src, dst, kind = _edge_values(record)
+            if (type(src) is str and type(dst) is str and type(kind) is str
+                    and kind in EDGE_TYPES and src in known and dst in known):
+                # `Edge._make` without its Python-level arity check: the
+                # getter always gives three values.
+                edges.append(tuple.__new__(Edge, values))
+                continue
+        _check_fields(record, _EDGE_FIELDS, f"edges[{i}]")
+        if record["type"] not in EDGE_TYPES:
+            raise SchemaViolation(f"edges[{i}]: bad type {record['type']!r}")
+        raise SchemaViolation(f"edges[{i}]: dangling endpoint")
+    return DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=frozenset(edges))
 
 
 def to_dot(graph: DependencyGraph) -> str:

@@ -6,6 +6,7 @@ that tests compare two separately written routes to the same answer.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -18,7 +19,9 @@ from sgkr.context import ContextBundle
 from sgkr.corpus import normalize_label
 from sgkr.graph import (
     CALL,
+    EDGE_TYPES,
     FEEDS,
+    FORMAT_VERSION,
     INPUT,
     OUTPUT,
     YIELDS,
@@ -27,7 +30,7 @@ from sgkr.graph import (
     IoNode,
     KnowledgeCodeNode,
 )
-from sgkr.errors import ParseError
+from sgkr.errors import FormatVersionMismatch, ParseError, SchemaViolation
 from sgkr.parser import KEYWORDS, FunctionDef
 from sgkr.retriever import DependencyPath, PathEdge, RetrievalResult
 from sgkr.tagger import TagSet, TagVocabulary
@@ -620,3 +623,101 @@ def oracle_bm25_rank(nodes: Sequence[KnowledgeCodeNode], question: str) -> list[
     scored = [(name, score(terms, name)) for name in names]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
+
+
+def oracle_serialize(graph: DependencyGraph) -> str:
+    """The retired writer: the whole document as one JSON value, written
+    by `json.dumps` with sorted keys and a two-space indent."""
+    document = {
+        "format_version": FORMAT_VERSION,
+        "kc_nodes": [
+            {
+                "node_id": node.node_id,
+                "function_name": node.function_name,
+                "code": node.code,
+                "knowledge": node.knowledge,
+                "origin_entries": list(node.origin_entries),
+                "variants": list(node.variants),
+            }
+            for _, node in sorted(graph.kc_nodes.items())
+        ],
+        "io_nodes": [
+            {"node_id": node.node_id, "label": node.label, "kind": node.kind}
+            for _, node in sorted(graph.io_nodes.items())
+        ],
+        "edges": [
+            {"src": edge.src, "dst": edge.dst, "type": edge.type}
+            for edge in sorted(graph.edges)
+        ],
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+_ORACLE_KC_FIELDS = {"node_id": str, "function_name": str, "code": str, "knowledge": str,
+                     "origin_entries": list, "variants": list}
+_ORACLE_IO_NODE_FIELDS = {"node_id": str, "label": str, "kind": str}
+_ORACLE_EDGE_FIELDS = {"src": str, "dst": str, "type": str}
+_ORACLE_DOC_FIELDS = {"format_version": object, "kc_nodes": list, "io_nodes": list,
+                      "edges": list}
+
+
+def _oracle_check_fields(record: object, expected: dict[str, type], where: str) -> dict:
+    if not isinstance(record, dict):
+        raise SchemaViolation(f"{where}: expected an object")
+    if record.keys() != expected.keys():
+        raise SchemaViolation(f"{where}: fields {sorted(record)} != {sorted(expected)}")
+    for name, kind in expected.items():
+        if not isinstance(record[name], kind):
+            raise SchemaViolation(f"{where}: {name!r} must be a {kind.__name__}")
+    return record
+
+
+def oracle_deserialize(document: str) -> DependencyGraph:
+    """The retired reader: `_oracle_check_fields` on every record, then
+    the record's own checks, then keyword construction."""
+    try:
+        raw = json.loads(document)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaViolation(f"not valid JSON: {exc}") from exc
+    raw = _oracle_check_fields(raw, _ORACLE_DOC_FIELDS, "document")
+    if raw["format_version"] != FORMAT_VERSION:
+        raise FormatVersionMismatch(
+            f"unsupported format version {raw['format_version']!r} "
+            f"(expected {FORMAT_VERSION!r})"
+        )
+    kc_nodes: dict[str, KnowledgeCodeNode] = {}
+    io_nodes: dict[str, IoNode] = {}
+    edges: set[Edge] = set()
+    for i, record in enumerate(raw["kc_nodes"]):
+        record = _oracle_check_fields(record, _ORACLE_KC_FIELDS, f"kc_nodes[{i}]")
+        if not all(isinstance(text, str) for text in record["origin_entries"] + record["variants"]):
+            raise SchemaViolation(f"kc_nodes[{i}]: origin_entries and variants must hold strings")
+        kc_nodes[record["node_id"]] = KnowledgeCodeNode(
+            node_id=record["node_id"],
+            function_name=record["function_name"],
+            code=record["code"],
+            knowledge=record["knowledge"],
+            origin_entries=tuple(record["origin_entries"]),
+            variants=tuple(record["variants"]),
+        )
+    for i, record in enumerate(raw["io_nodes"]):
+        record = _oracle_check_fields(record, _ORACLE_IO_NODE_FIELDS, f"io_nodes[{i}]")
+        if record["kind"] not in (INPUT, OUTPUT):
+            raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
+        io_nodes[record["node_id"]] = IoNode(**record)
+    known = kc_nodes.keys() | io_nodes.keys()
+    if len(known) < len(raw["kc_nodes"]) + len(raw["io_nodes"]):
+        seen: set[str] = set()
+        for record in raw["kc_nodes"] + raw["io_nodes"]:
+            if record["node_id"] in seen:
+                raise SchemaViolation(f"duplicate node_id {record['node_id']!r}")
+            seen.add(record["node_id"])
+    for i, record in enumerate(raw["edges"]):
+        record = _oracle_check_fields(record, _ORACLE_EDGE_FIELDS, f"edges[{i}]")
+        edge = Edge(record["src"], record["dst"], record["type"])
+        if edge.type not in EDGE_TYPES:
+            raise SchemaViolation(f"edges[{i}]: bad type {edge.type!r}")
+        if edge.src not in known or edge.dst not in known:
+            raise SchemaViolation(f"edges[{i}]: dangling endpoint")
+        edges.add(edge)
+    return DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=edges)

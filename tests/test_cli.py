@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -358,6 +359,75 @@ class TestInputEncoding:
         assert code == 1
         assert captured.err.startswith(f"error: {bad}: not UTF-8")
         assert "Traceback" not in captured.err
+
+
+class TestCollectorState:
+    """`main` pauses the cyclic collector while it reads the graph
+    document and freezes what it loaded, and returns with the collector
+    as it found it: enabled or not, and the same freeze count. Unfreezing
+    is all or nothing, so a load that finds objects frozen already
+    freezes nothing; that count then only falls, as frozen objects are
+    freed."""
+
+    @pytest.fixture(params=[(True, False), (False, False), (True, True), (False, True)],
+                    ids=["enabled", "disabled", "enabled-frozen", "disabled-frozen"])
+    def collector(self, request):
+        enabled, frozen = request.param
+        # Nothing in the test process freezes objects but `main`, which
+        # must have unfrozen them again, in this test or any earlier one.
+        assert gc.get_freeze_count() == 0
+        was_enabled = gc.isenabled()
+        if frozen:
+            gc.freeze()
+        if not enabled:
+            gc.disable()
+        try:
+            yield gc.isenabled(), gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("case", ["loaded", "missing", "not-utf8", "not-json", "schema"])
+    def test_left_as_found(self, case, collector, graph_path, tmp_path, capsys, monkeypatch):
+        seen = {}
+        deserialize = cli.graphmod.deserialize
+        build_vocab = cli._build_vocab
+
+        def spy_deserialize(document):
+            seen["enabled while reading"] = gc.isenabled()
+            return deserialize(document)
+
+        def spy_build_vocab(g, aliases_path):
+            seen["after loading"] = gc.isenabled(), gc.get_freeze_count()
+            return build_vocab(g, aliases_path)
+
+        monkeypatch.setattr(cli.graphmod, "deserialize", spy_deserialize)
+        monkeypatch.setattr(cli, "_build_vocab", spy_build_vocab)
+        document = tmp_path / "graph.json"
+        if case == "loaded":
+            document = graph_path
+        elif case == "not-utf8":
+            document.write_bytes(b"\xff\xfe{}\n")
+        elif case == "not-json":
+            document.write_text("][")
+        elif case == "schema":
+            document.write_text('{"format_version": "1"}')
+        enabled, frozen = collector
+        code = main(["query", "--graph", str(document), "--question", FEE_QUESTION])
+        captured = capsys.readouterr()
+        assert gc.isenabled() == enabled
+        assert gc.get_freeze_count() == 0 if not frozen else 0 < gc.get_freeze_count() <= frozen
+        if case == "loaded":
+            assert code == 0 and FUNCTIONS_HEADER in captured.out
+            assert seen["enabled while reading"] is False
+            after_enabled, after_frozen = seen["after loading"]
+            assert after_enabled == enabled
+            assert after_frozen > 0 if not frozen else after_frozen <= frozen
+        else:
+            assert code == 1 and captured.err.startswith("error: ")
+            assert "after loading" not in seen
+            assert seen.get("enabled while reading", False) is False
 
 
 class TestDeeplyNestedJson:

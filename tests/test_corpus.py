@@ -3,19 +3,41 @@ from __future__ import annotations
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import oracle_label_tokens
 from sgkr.corpus import (
+    Corpus,
     label_tokens,
     load_corpus,
     normalize_label,
-    save_corpus,
 )
 from sgkr.errors import DuplicateEntryId, KnowledgeBindingError, MalformedManifest, MissingFile
 from sgkr.graph import build_graph
 from sgkr.parser import extract_functions
+
+
+def save_corpus(corpus: Corpus, directory: Path) -> Path:
+    """Write a corpus back to disk as a manifest plus one source file per
+    entry, and return the manifest's path."""
+    directory.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for entry in corpus.entries:
+        source_name = f"{entry.entry_id}.py"
+        (directory / source_name).write_text(entry.source_text, encoding="utf-8")
+        entries.append({
+            "id": entry.entry_id,
+            "source": source_name,
+            "inputs": [{"label": d.label, "anchor": d.anchor} for d in entry.io_spec.inputs],
+            "outputs": [{"label": d.label, "anchor": d.anchor} for d in entry.io_spec.outputs],
+            "knowledge": entry.knowledge_map,
+        })
+    document = {"corpus_name": corpus.name, "version": corpus.version, "entries": entries}
+    manifest_path = directory / "manifest.json"
+    manifest_path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    return manifest_path
 
 
 def write_manifest(tmp_path, entries, name="demo", version="1"):

@@ -6,12 +6,15 @@ import time
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     oracle_call_cycles,
     oracle_cyclic_components,
+    oracle_deserialize,
     oracle_merge,
     oracle_reachable,
+    oracle_serialize,
     random_call_graph,
     random_premerge_graph,
 )
@@ -24,8 +27,10 @@ from sgkr.errors import (
 )
 from sgkr.graph import (
     CALL,
+    EDGE_TYPES,
     FEEDS,
     INPUT,
+    OUTPUT,
     YIELDS,
     DependencyGraph,
     Edge,
@@ -404,6 +409,202 @@ class TestSerialization:
         first = serialize(build_graph(fee_corpus))
         second = serialize(build_graph(fee_corpus))
         assert first == second
+
+
+# Text with what a JSON writer must escape or may pass through: quotes,
+# backslashes, control characters, non-ASCII, astral characters and lone
+# surrogates, plus any other code point.
+NASTY_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/", "é", "\u2028",
+                     "\U0001f600", "\ud800", "\udfff"]),
+    st.characters(exclude_categories=()),
+), max_size=12)
+
+
+@st.composite
+def nasty_graphs(draw):
+    """Graphs whose every text is drawn from NASTY_TEXT, with empty and
+    multi-element `origin_entries` and `variants`, and whose edges join
+    existing nodes, so the document is also one `deserialize` accepts."""
+    kc_ids = draw(st.lists(NASTY_TEXT, max_size=5, unique=True))
+    kc_nodes = {node_id: KnowledgeCodeNode(
+        node_id, draw(NASTY_TEXT), draw(NASTY_TEXT), draw(NASTY_TEXT),
+        tuple(draw(st.lists(NASTY_TEXT, max_size=3))),
+        tuple(draw(st.lists(NASTY_TEXT, max_size=3))),
+    ) for node_id in kc_ids}
+    io_ids = draw(st.lists(NASTY_TEXT.filter(lambda text: text not in kc_nodes),
+                           max_size=4, unique=True))
+    io_nodes = {node_id: IoNode(node_id, draw(NASTY_TEXT), draw(st.sampled_from([INPUT, OUTPUT])))
+                for node_id in io_ids}
+    ids = kc_ids + io_ids
+    edges = set()
+    if ids:
+        edges = set(draw(st.lists(st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids),
+                                            st.sampled_from(sorted(EDGE_TYPES))), max_size=8)))
+    return DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=edges)
+
+
+def small_graphs(fee_graph, small_workloads):
+    """The fee graph and both small benchmark graphs, by name."""
+    graphs = {"fee": fee_graph}
+    graphs.update((name, loaded[0]) for name, loaded in small_workloads.items())
+    return graphs
+
+
+class TestAgainstOracleWriter:
+    """`serialize` writes the very bytes `json.dumps` writes."""
+
+    def test_fee_small_benchmark_and_empty_graphs(self, fee_graph, small_workloads):
+        graphs = small_graphs(fee_graph, small_workloads)
+        graphs["empty"] = DependencyGraph()
+        for name, graph in graphs.items():
+            assert serialize(graph) == oracle_serialize(graph), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(nasty_graphs())
+    def test_nasty_text(self, graph):
+        document = serialize(graph)
+        assert document == oracle_serialize(graph)
+        assert document.isascii()
+        # JSON reads an escaped surrogate pair as one astral character, so
+        # the document, not the graph, is what must survive a round trip.
+        assert deserialize(document) == oracle_deserialize(document)
+        assert serialize(deserialize(document)) == document
+
+    def test_lists_of_every_length(self):
+        graph = DependencyGraph(kc_nodes={
+            f"kc:{n}": KnowledgeCodeNode(f"kc:{n}", "f", "c", "k", ("e",) * n, ("v",) * (2 - n))
+            for n in range(3)
+        })
+        assert serialize(graph) == oracle_serialize(graph)
+
+
+def outcome(reader, document):
+    """What `reader` makes of `document`: the graph, or the class and
+    message of what it raised."""
+    try:
+        return reader(document)
+    except Exception as exc:  # compared, so an unexpected kind shows too
+        return type(exc), str(exc)
+
+
+# A value of each JSON type.
+JSON_VALUES = (None, True, 1, 1.5, "text", [], {})
+
+
+def record_mutations(record, where):
+    """(description, replacement) pairs for one record: a field dropped,
+    added or renamed; every JSON type in every field; the record itself a
+    non-object; a non-string in each string list."""
+    for name in record:
+        yield f"{where}: drop {name}", {k: v for k, v in record.items() if k != name}
+        yield f"{where}: rename {name}", {(k + "_" if k == name else k): v
+                                          for k, v in record.items()}
+        for value in JSON_VALUES:
+            yield f"{where}: {name} = {value!r}", dict(record, **{name: value})
+    yield f"{where}: add a field", dict(record, bogus=1)
+    for value in JSON_VALUES:
+        if not isinstance(value, dict):
+            yield f"{where}: record = {value!r}", value
+    for name in ("origin_entries", "variants"):
+        if name in record:
+            for value in JSON_VALUES:
+                if not isinstance(value, str):
+                    yield (f"{where}: {name} holds {value!r}",
+                           dict(record, **{name: record[name] + [value]}))
+
+
+def document_mutations(document, picks):
+    """(description, mutated document) pairs: every record mutation on
+    the records `picks(records)` chooses of each kind, then mutations of
+    meaning (kind, edge type, endpoints, ids, version) and of the
+    document itself."""
+    for section in ("kc_nodes", "io_nodes", "edges"):
+        records = document[section]
+        for i in picks(records):
+            for description, replacement in record_mutations(records[i], f"{section}[{i}]"):
+                mutated = dict(document, **{section: records[:i] + [replacement] + records[i + 1:]})
+                yield description, mutated
+    kc, io, edges = document["kc_nodes"], document["io_nodes"], document["edges"]
+
+    def replaced(section, i, **fields):
+        records = document[section]
+        return dict(document, **{section: records[:i] + [dict(records[i], **fields)]
+                                 + records[i + 1:]})
+
+    for i in picks(io):
+        yield f"io_nodes[{i}]: bad kind", replaced("io_nodes", i, kind="sideways")
+    for i in picks(edges):
+        yield f"edges[{i}]: bad type", replaced("edges", i, type="WIBBLE")
+        yield f"edges[{i}]: dangling src", replaced("edges", i, src="kc:nowhere")
+        yield f"edges[{i}]: dangling dst", replaced("edges", i, dst="io:nowhere")
+        yield f"edges[{i}]: bad type and dangling", replaced("edges", i, type="X", src="x")
+    for first, second in (("kc_nodes", "kc_nodes"), ("io_nodes", "io_nodes"),
+                          ("kc_nodes", "io_nodes"), ("io_nodes", "kc_nodes")):
+        for i in picks(document[second]):
+            if (first, i) != (second, 0):
+                twin_id = document[first][0]["node_id"]
+                yield f"duplicate id {first}[0] at {second}[{i}]", replaced(second, i,
+                                                                           node_id=twin_id)
+    for value in ("2", "01", 1, None, ["1"]):
+        yield f"format_version = {value!r}", dict(document, format_version=value)
+    for name in document:
+        yield f"document: drop {name}", {k: v for k, v in document.items() if k != name}
+        for value in JSON_VALUES:
+            yield f"document: {name} = {value!r}", dict(document, **{name: value})
+    yield "document: add a field", dict(document, bogus=[])
+    for value in JSON_VALUES:
+        if not isinstance(value, dict):
+            yield f"document = {value!r}", value
+    if kc and edges:
+        # Two faults: the first in document order is the one reported.
+        yield "two faults", dict(document, kc_nodes=kc[:-1] + [dict(kc[-1], code=1)],
+                                 edges=[dict(edges[0], src="x")] + edges[1:])
+
+
+class TestAgainstOracleReader:
+    """`deserialize` gives an equal graph, or the same exception class
+    with the same message, as the retired reader."""
+
+    def test_fee_document_every_record(self, fee_graph):
+        document = json.loads(serialize(fee_graph))
+        rejected = 0
+
+        def every_record(records):
+            return range(len(records))
+
+        for description, mutated in document_mutations(document, every_record):
+            text = json.dumps(mutated, indent=2)
+            expected = outcome(oracle_deserialize, text)
+            assert outcome(deserialize, text) == expected, description
+            rejected += not isinstance(expected, DependencyGraph)
+        assert rejected > 1500
+
+    @pytest.mark.parametrize("workload", ["query", "cli"])
+    def test_small_benchmark_documents(self, small_workloads, workload):
+        graph = small_workloads[workload][0]
+        document = json.loads(serialize(graph))
+        rng = random.Random(workload)
+
+        def picks(records):
+            return sorted({0, len(records) - 1, rng.randrange(len(records))}) if records else []
+
+        for description, mutated in document_mutations(document, picks):
+            text = json.dumps(mutated)
+            assert outcome(deserialize, text) == outcome(oracle_deserialize, text), description
+
+    def test_valid_documents_read_equal(self, fee_graph, small_workloads):
+        for name, graph in small_graphs(fee_graph, small_workloads).items():
+            document = serialize(graph)
+            assert deserialize(document) == oracle_deserialize(document) == graph, name
+            # Key order and layout do not matter to either reader.
+            shuffled = json.dumps({key: value for key, value in
+                                   reversed(json.loads(document).items())})
+            assert deserialize(shuffled) == graph, name
+
+    @pytest.mark.parametrize("text", ["", "][", "[" * 100_000, '{"a": 1', "nan", "\"x\""])
+    def test_not_a_document(self, text):
+        assert outcome(deserialize, text) == outcome(oracle_deserialize, text)
 
 
 class TestDotExport:
