@@ -13,7 +13,6 @@ annotations.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections import Counter
@@ -21,9 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import read_text
+from .corpus import check, read_json, read_text
 from .errors import (
-    MissingFile,
     MissingResult,
     MissingVector,
     SchemaViolation,
@@ -200,10 +198,7 @@ class VectorStore:
 def load_vectors(path: str | Path) -> VectorStore:
     """Read a vector file: first line the dimension, then one
     ``name<TAB>floats`` record per line."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"vector file not found: {path}")
-    lines = read_text(path).splitlines()
+    lines = read_text(Path(path), "vector file").splitlines()
     if not lines:
         raise SchemaViolation("vector file is empty")
     try:
@@ -275,27 +270,20 @@ class GoldAnnotation:
     unneeded: frozenset[str]
 
 
+_GOLD_FIELDS = {"question": str, "needed": list, "unneeded": list}
+
+
 def load_gold(path: str | Path) -> list[GoldAnnotation]:
     """Read gold annotations: a JSON list of {question, needed, unneeded}."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"gold file not found: {path}")
-    try:
-        raw = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaViolation(f"gold file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
+    raw = read_json(Path(path), SchemaViolation, "gold file")
+    if type(raw) is not list:
         raise SchemaViolation("gold file must be a JSON list")
     gold = []
     for i, record in enumerate(raw):
-        if not isinstance(record, dict) or set(record) != {"question", "needed", "unneeded"}:
-            raise SchemaViolation(f"gold[{i}]: expected {{question, needed, unneeded}}")
-        if not isinstance(record["question"], str):
-            raise SchemaViolation(f"gold[{i}]: question must be a string")
+        check(record, _GOLD_FIELDS, f"gold[{i}]", SchemaViolation)
         for key in ("needed", "unneeded"):
-            names = record[key]
-            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-                raise SchemaViolation(f"gold[{i}]: {key} must be a list of strings")
+            if not all(type(name) is str for name in record[key]):
+                raise SchemaViolation(f"gold[{i}]: {key!r} must hold strings")
         needed = frozenset(record["needed"])
         unneeded = frozenset(record["unneeded"])
         overlap = needed & unneeded

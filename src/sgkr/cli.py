@@ -12,9 +12,8 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
 
 from . import baselines, context, corpus, graph as graphmod, retriever, tagger
 from .errors import SgkrError
@@ -35,30 +34,20 @@ class Config:
     methods: str = "sgkr,lexical"
 
 
+# A field that defaults to None takes a string or null; any other takes
+# its default's type.
+_CONFIG_FIELDS = {field.name: (str, type(None)) if field.default is None else type(field.default)
+                  for field in fields(Config)}
+
+
 def _load_config() -> Config:
-    config = Config()
     config_path = os.environ.get(CONFIG_ENV_VAR)
     if not config_path:
-        return config
-    try:
-        raw = json.loads(corpus.read_text(Path(config_path)))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SgkrError(f"config file {config_path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SgkrError(f"config file {config_path} must contain a JSON object")
-    types = get_type_hints(Config)
-    unknown = set(raw) - set(types)
-    if unknown:
-        raise SgkrError(f"config file {config_path}: unknown fields {sorted(unknown)}")
-    for key, value in raw.items():
-        expected = types[key]
-        # bool is a subclass of int, but `true` is no depth or budget.
-        if isinstance(value, bool) or not isinstance(value, expected):
-            expected_name = getattr(expected, "__name__", str(expected))
-            raise SgkrError(f"config file {config_path}: field {key!r} must be {expected_name}, "
-                            f"not {json.dumps(value)}")
-        setattr(config, key, value)
-    return config
+        return Config()
+    raw = corpus.read_json(Path(config_path), SgkrError, "config file")
+    if type(raw) is dict:
+        raw = {**asdict(Config()), **raw}
+    return Config(**corpus.check(raw, _CONFIG_FIELDS, f"config file {config_path}", SgkrError))
 
 
 def _merge(config: Config, args: argparse.Namespace) -> Config:
@@ -72,9 +61,6 @@ def _merge(config: Config, args: argparse.Namespace) -> Config:
 def _load_graph(path: str | None) -> graphmod.DependencyGraph:
     if not path:
         raise SgkrError("no graph document given (--graph)")
-    graph_path = Path(path)
-    if not graph_path.is_file():
-        raise SgkrError(f"graph document not found: {graph_path}")
     # The graph holds no cycles and lives as long as the command, so the
     # cyclic collector gains nothing by scanning it: it is paused while
     # the document is read, and what was loaded is then frozen out of its
@@ -83,7 +69,7 @@ def _load_graph(path: str | None) -> graphmod.DependencyGraph:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        loaded = graphmod.deserialize(corpus.read_text(graph_path))
+        loaded = graphmod.deserialize(corpus.read_text(Path(path), "graph document"))
     finally:
         if enabled:
             gc.enable()
@@ -288,10 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "inspect":
             return cmd_inspect(config, args.dot, args.format, sys.stdout)
         parser.error(f"unknown command {args.command!r}")
-    except SgkrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    # A UnicodeEncodeError is text the output stream cannot encode, such
+    # as a lone surrogate that a JSON input spelled as an escape.
+    except (SgkrError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -4,6 +4,11 @@ A corpus is described by a JSON manifest listing entries; each entry points
 at a source file, declares the semantic inputs/outputs of the solution
 (with the function each one attaches to), and carries a per-function
 knowledge annotation map.
+
+Every input file the package reads goes through `read_text`, and every
+JSON one but the graph document (which `graph.deserialize` parses from a
+string) through `read_json`; `check` is the one field checker of all
+their records.
 """
 
 from __future__ import annotations
@@ -12,17 +17,51 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
-from .errors import DuplicateEntryId, MalformedManifest, MissingFile, NotUtf8
+from .errors import DuplicateEntryId, MalformedManifest, MissingFile, NotUtf8, SgkrError
 
 
-def read_text(path: Path) -> str:
-    """A file's text, decoded as UTF-8; other bytes raise NotUtf8 naming
-    the file."""
+def read_text(path: Path, what: str) -> str:
+    """A file's text, decoded as UTF-8. A missing file raises MissingFile
+    naming it as `what`; other bytes raise NotUtf8 naming the file."""
+    if not path.is_file():
+        raise MissingFile(f"{what} not found: {path}")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise NotUtf8(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
+def read_json(path: Path, error: type[SgkrError], what: str) -> object:
+    """A JSON file's value. Any text `json.loads` refuses raises `error`:
+    malformed JSON (`JSONDecodeError` is a `ValueError`), an integer past
+    the interpreter's digit limit (`ValueError`) and nesting past the
+    recursion limit (`RecursionError`)."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def check(record: object, fields: Mapping[str, type | tuple[type, ...]], where: str,
+          error: type[SgkrError]) -> dict:
+    """`record`, if it is an object with exactly `fields`, each value of
+    its field's type (or of one of its types); `object` admits any value.
+    The test is `type(value) is`, which is `isinstance` on what
+    `json.loads` makes, except that `true` is no int. Otherwise `error`,
+    with a message that starts with `where`, the record's field path."""
+    if type(record) is not dict:
+        raise error(f"{where}: expected an object")
+    if record.keys() != fields.keys():
+        raise error(f"{where}: fields {sorted(record)} != {sorted(fields)}")
+    for name, kinds in fields.items():
+        kinds = kinds if type(kinds) is tuple else (kinds,)
+        if object not in kinds and type(record[name]) not in kinds:
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise error(f"{where}: {name!r} must be a {names}")
+    return record
 
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
@@ -76,62 +115,35 @@ class Corpus:
     entries: tuple[CorpusEntry, ...]
 
 
-_ENTRY_FIELDS = {"id", "source", "inputs", "outputs", "knowledge"}
-_MANIFEST_FIELDS = {"corpus_name", "version", "entries"}
-_IO_FIELDS = {"label", "anchor"}
+_MANIFEST_FIELDS = {"corpus_name": str, "version": str, "entries": list}
+_ENTRY_FIELDS = {"id": str, "source": str, "inputs": list, "outputs": list, "knowledge": dict}
+_IO_FIELDS = {"label": str, "anchor": str}
 
 
-def _require(condition: bool, message: str, path: str) -> None:
-    if not condition:
-        raise MalformedManifest(message, path)
-
-
-def _parse_io_list(raw: object, path: str) -> tuple[IoDecl, ...]:
-    _require(isinstance(raw, list), "expected a list", path)
+def _io_decls(raw: dict, side: str, where: str) -> tuple[IoDecl, ...]:
+    if not raw[side]:
+        raise MalformedManifest(f"{where}: at least one {side[:-1]} label required")
     decls = []
-    for i, item in enumerate(raw):
-        item_path = f"{path}[{i}]"
-        _require(isinstance(item, dict), "expected an object", item_path)
-        unknown = set(item) - _IO_FIELDS
-        _require(not unknown, f"unknown fields {sorted(unknown)}", item_path)
-        _require("label" in item, "missing field 'label'", item_path)
-        _require("anchor" in item, "missing field 'anchor'", item_path)
-        _require(isinstance(item["label"], str), "'label' must be a string", item_path)
-        _require(isinstance(item["anchor"], str), "'anchor' must be a string", item_path)
+    for i, item in enumerate(raw[side]):
+        check(item, _IO_FIELDS, f"{where}[{i}]", MalformedManifest)
         decls.append(IoDecl(label=normalize_label(item["label"]), anchor=item["anchor"]))
     return tuple(decls)
 
 
-def _parse_entry(raw: object, base_dir: Path, path: str) -> CorpusEntry:
-    _require(isinstance(raw, dict), "expected an object", path)
-    unknown = set(raw) - _ENTRY_FIELDS
-    _require(not unknown, f"unknown fields {sorted(unknown)}", path)
-    for required in sorted(_ENTRY_FIELDS):
-        _require(required in raw, f"missing field '{required}'", path)
-    _require(isinstance(raw["id"], str) and raw["id"], "'id' must be a non-empty string", path)
-    _require(isinstance(raw["source"], str), "'source' must be a string", path)
-
-    inputs = _parse_io_list(raw["inputs"], f"{path}.inputs")
-    outputs = _parse_io_list(raw["outputs"], f"{path}.outputs")
-    _require(len(inputs) >= 1, "at least one input label required", f"{path}.inputs")
-    _require(len(outputs) >= 1, "at least one output label required", f"{path}.outputs")
-
-    knowledge = raw["knowledge"]
-    _require(isinstance(knowledge, dict), "'knowledge' must be an object", f"{path}.knowledge")
-    for fn_name, text in knowledge.items():
-        _require(isinstance(text, str), f"knowledge for '{fn_name}' must be a string",
-                 f"{path}.knowledge")
-
-    source_path = base_dir / raw["source"]
-    if not source_path.is_file():
-        raise MissingFile(f"source file not found: {source_path}")
-    source_text = read_text(source_path)
-
+def _parse_entry(raw: object, base_dir: Path, where: str) -> CorpusEntry:
+    check(raw, _ENTRY_FIELDS, where, MalformedManifest)
+    if not raw["id"]:
+        raise MalformedManifest(f"{where}: 'id' must be a non-empty string")
+    inputs = _io_decls(raw, "inputs", f"{where}.inputs")
+    outputs = _io_decls(raw, "outputs", f"{where}.outputs")
+    for fn_name, text in raw["knowledge"].items():
+        if type(text) is not str:
+            raise MalformedManifest(f"{where}.knowledge: {fn_name!r} must be a str")
     return CorpusEntry(
         entry_id=raw["id"],
-        source_text=source_text,
+        source_text=read_text(base_dir / raw["source"], "source file"),
         io_spec=IoSpec(inputs=inputs, outputs=outputs),
-        knowledge_map=dict(knowledge),
+        knowledge_map=dict(raw["knowledge"]),
     )
 
 
@@ -142,21 +154,8 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     directory and read eagerly, so the returned Corpus is self-contained.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise MissingFile(f"manifest not found: {manifest_path}")
-    try:
-        raw = json.loads(read_text(manifest_path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MalformedManifest(f"not valid JSON: {exc}") from exc
-
-    _require(isinstance(raw, dict), "manifest must be an object", "")
-    unknown = set(raw) - _MANIFEST_FIELDS
-    _require(not unknown, f"unknown fields {sorted(unknown)}", "")
-    for required in sorted(_MANIFEST_FIELDS):
-        _require(required in raw, f"missing field '{required}'", "")
-    _require(isinstance(raw["corpus_name"], str), "'corpus_name' must be a string", "corpus_name")
-    _require(isinstance(raw["version"], str), "'version' must be a string", "version")
-    _require(isinstance(raw["entries"], list), "'entries' must be a list", "entries")
+    raw = read_json(manifest_path, MalformedManifest, "manifest")
+    check(raw, _MANIFEST_FIELDS, "manifest", MalformedManifest)
 
     entries = []
     seen_ids: set[str] = set()

@@ -16,16 +16,8 @@ class NotUtf8(SgkrError):
 
 
 class MalformedManifest(SgkrError):
-    """A manifest violates the manifest schema.
-
-    `field_path` points at the offending field, e.g. ``entries[2].inputs[0]``.
-    """
-
-    def __init__(self, message: str, field_path: str = ""):
-        self.field_path = field_path
-        if field_path:
-            message = f"{field_path}: {message}"
-        super().__init__(message)
+    """A manifest violates the manifest schema; the message starts with
+    the offending field's path, e.g. ``entries[2].inputs[0]``."""
 
 
 class DuplicateEntryId(SgkrError):

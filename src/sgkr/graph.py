@@ -21,7 +21,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .corpus import Corpus, IoSpec
+from .corpus import Corpus, IoSpec, check
 from .errors import (
     AnchorNotFound,
     FormatVersionMismatch,
@@ -447,31 +447,19 @@ _io_node_values = itemgetter(*_IO_NODE_FIELDS)
 _edge_values = itemgetter(*_EDGE_FIELDS)
 
 
-def _check_fields(record: object, expected: dict[str, type], where: str) -> dict:
-    if not isinstance(record, dict):
-        raise SchemaViolation(f"{where}: expected an object")
-    if record.keys() != expected.keys():
-        raise SchemaViolation(f"{where}: fields {sorted(record)} != {sorted(expected)}")
-    for name, kind in expected.items():
-        if not isinstance(record[name], kind):
-            raise SchemaViolation(f"{where}: {name!r} must be a {kind.__name__}")
-    return record
-
-
 def deserialize(document: str) -> DependencyGraph:
     """Parse a graph document produced by `serialize`. Raises
     SchemaViolation on a missing, unknown or wrongly typed field and on a
     node id given twice.
 
-    Each record is checked inline, in one pass. `json.loads` makes exact
-    dicts, lists and strs only, so `type(value) is str` is the
-    `isinstance` test of `_check_fields`; that runs only on a record that
-    fails, to raise the message."""
+    Each record is checked inline, in one pass, by the tests `check`
+    makes; `check` itself runs only on a record that fails, to raise the
+    message. Any text `json.loads` refuses is a SchemaViolation too."""
     try:
         raw = json.loads(document)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
-    raw = _check_fields(raw, _DOC_FIELDS, "document")
+    check(raw, _DOC_FIELDS, "document", SchemaViolation)
     if raw["format_version"] != FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"unsupported format version {raw['format_version']!r} "
@@ -492,7 +480,7 @@ def deserialize(document: str) -> DependencyGraph:
                     kc_nodes[node_id] = KnowledgeCodeNode(node_id, name, code, knowledge,
                                                           tuple(origins), tuple(variants))
                     continue
-        _check_fields(record, _KC_FIELDS, f"kc_nodes[{i}]")
+        check(record, _KC_FIELDS, f"kc_nodes[{i}]", SchemaViolation)
         raise SchemaViolation(f"kc_nodes[{i}]: origin_entries and variants must hold strings")
     io_nodes: dict[str, IoNode] = {}
     io_keys = _IO_NODE_FIELDS.keys()
@@ -503,7 +491,7 @@ def deserialize(document: str) -> DependencyGraph:
                     and (kind == INPUT or kind == OUTPUT)):
                 io_nodes[node_id] = IoNode(node_id, label, kind)
                 continue
-        _check_fields(record, _IO_NODE_FIELDS, f"io_nodes[{i}]")
+        check(record, _IO_NODE_FIELDS, f"io_nodes[{i}]", SchemaViolation)
         raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
     known = kc_nodes.keys() | io_nodes.keys()
     if len(known) < len(raw["kc_nodes"]) + len(raw["io_nodes"]):
@@ -523,7 +511,7 @@ def deserialize(document: str) -> DependencyGraph:
                 # getter always gives three values.
                 edges.append(tuple.__new__(Edge, values))
                 continue
-        _check_fields(record, _EDGE_FIELDS, f"edges[{i}]")
+        check(record, _EDGE_FIELDS, f"edges[{i}]", SchemaViolation)
         if record["type"] not in EDGE_TYPES:
             raise SchemaViolation(f"edges[{i}]: bad type {record['type']!r}")
         raise SchemaViolation(f"edges[{i}]: dangling endpoint")

@@ -18,14 +18,13 @@ of trying every pattern longest first, ties lexically, left to right.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .corpus import label_tokens, normalize_label, read_text
-from .errors import AliasCollision, MissingFile, SchemaViolation
+from .corpus import check, label_tokens, normalize_label, read_json
+from .errors import AliasCollision, SchemaViolation
 from .graph import INPUT, OUTPUT, DependencyGraph
 
 
@@ -58,22 +57,16 @@ class TagSet:
     fallback: bool
 
 
+_ALIAS_FIELDS = {"label": str, "kind": str}
+
+
 def load_aliases(path: str | Path) -> dict[str, dict[str, str]]:
     """Read an alias file: a JSON object mapping alias -> {label, kind}."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"alias file not found: {path}")
-    try:
-        raw = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaViolation(f"alias file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    raw = read_json(Path(path), SchemaViolation, "alias file")
+    if type(raw) is not dict:
         raise SchemaViolation("alias file must be a JSON object")
     for alias, target in raw.items():
-        if not isinstance(target, dict) or set(target) != {"label", "kind"}:
-            raise SchemaViolation(f"alias {alias!r}: expected {{label, kind}}")
-        if not isinstance(target["label"], str):
-            raise SchemaViolation(f"alias {alias!r}: label must be a string")
+        check(target, _ALIAS_FIELDS, f"alias {alias!r}", SchemaViolation)
         if target["kind"] not in (INPUT, OUTPUT):
             raise SchemaViolation(f"alias {alias!r}: bad kind {target['kind']!r}")
     return raw

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +203,25 @@ class TestQuery:
         assert code == 0
         assert captured.out.startswith("note: no dependency paths found\n")
 
+    def test_unencodable_knowledge_is_error_in_text_only(self, tmp_path, capsys):
+        # The manifest spells a lone surrogate as the JSON escape "\ud800":
+        # valid JSON, and kept as an escape in the ASCII graph document,
+        # but no UTF-8 stream can print it.
+        manifest = write_corpus(tmp_path, {"e1": "def f():\n    pass\n"},
+                                knowledge={"e1": {"f": "fee \ud800"}})
+        assert "\\ud800" in (tmp_path / "manifest.json").read_text()
+        graph = tmp_path / "g.json"
+        assert main(["build", "--manifest", manifest, "--graph", str(graph)]) == 0
+        capsys.readouterr()
+        argv = ["query", "--graph", str(graph), "--question", "from e1 in to e1 out"]
+        assert main(argv + ["--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["knowledge"][0]["knowledge"] == "fee \ud800"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines()[-1].startswith("error: 'utf-8' codec can't encode")
+        assert "Traceback" not in captured.err
+
 
 class TestEval:
     def test_three_methods_table(self, graph_path, capsys):
@@ -258,7 +278,7 @@ class TestEval:
         monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 3)
         assert main(argv) == 0
         captured = capsys.readouterr()
-        question = json.loads(open(GOLD, encoding="utf-8").read())[0]["question"]
+        question = json.loads(Path(GOLD).read_text(encoding="utf-8"))[0]["question"]
         assert f"note: search for {question!r} stopped at the work budget\n" in captured.err
         assert "note:" not in captured.out
 
@@ -283,7 +303,7 @@ class TestEval:
                      "--question", FEE_QUESTION])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "error: alias 'fee alias': label must be a string\n"
+        assert captured.err == "error: alias 'fee alias': 'label' must be a str\n"
 
 
 class TestInspect:
@@ -305,7 +325,6 @@ class TestInspect:
         code = main(["inspect", "--graph", graph_path, "--format", "structured"])
         captured = capsys.readouterr()
         assert code == 0
-        from pathlib import Path
         assert captured.out == Path(graph_path).read_text()
 
     def test_empty_graph_empty_listing(self, tmp_path, capsys):
@@ -431,28 +450,42 @@ class TestCollectorState:
 
 
 class TestDeeplyNestedJson:
-    """JSON nested deeper than the decoder's recursion limit is an input
-    error like any other malformed JSON, in every JSON file the CLI reads."""
+    """JSON that `json.loads` refuses although it is well formed is an
+    input error like any other malformed JSON, in every JSON file the CLI
+    reads: nesting deeper than the decoder's recursion limit, and an
+    integer longer than the interpreter's digit limit. On a Python without
+    that limit the integer is read, and then rejected as a wrongly typed
+    document; either way the command ends in one `error:` line."""
 
-    @pytest.mark.parametrize("kind", ["graph", "manifest", "aliases", "gold", "config"])
-    def test_is_error_not_traceback(self, kind, graph_path, tmp_path, capsys, monkeypatch):
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 200_000)
+    KINDS = ["graph", "manifest", "aliases", "gold", "config"]
+
+    def run(self, kind, text, graph_path, tmp_path, capsys, monkeypatch):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
         argv = {
-            "graph": ["query", "--graph", str(deep), "--question", FEE_QUESTION],
-            "manifest": ["build", "--manifest", str(deep), "--graph", str(tmp_path / "g.json")],
-            "aliases": ["query", "--graph", graph_path, "--aliases", str(deep),
+            "graph": ["query", "--graph", str(bad), "--question", FEE_QUESTION],
+            "manifest": ["build", "--manifest", str(bad), "--graph", str(tmp_path / "g.json")],
+            "aliases": ["query", "--graph", graph_path, "--aliases", str(bad),
                         "--question", FEE_QUESTION],
-            "gold": ["eval", "--graph", graph_path, "--gold", str(deep)],
+            "gold": ["eval", "--graph", graph_path, "--gold", str(bad)],
             "config": ["query", "--graph", graph_path, "--question", FEE_QUESTION],
         }[kind]
         if kind == "config":
-            monkeypatch.setenv("SGKR_CONFIG", str(deep))
+            monkeypatch.setenv("SGKR_CONFIG", str(bad))
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.splitlines()[-1].startswith("error:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_is_error_not_traceback(self, kind, graph_path, tmp_path, capsys, monkeypatch):
+        self.run(kind, "[" * 200_000, graph_path, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_long_integer_is_error_not_traceback(self, kind, graph_path, tmp_path, capsys,
+                                                 monkeypatch):
+        self.run(kind, "9" * 5_000, graph_path, tmp_path, capsys, monkeypatch)
 
 
 class TestConfigFile:
@@ -490,7 +523,7 @@ class TestConfigFile:
         monkeypatch.setenv("SGKR_CONFIG", str(config))
         code = main(["query", "--question", FEE_QUESTION])
         assert code == 1
-        assert "'max_depth' must be int" in capsys.readouterr().err
+        assert "'max_depth' must be a int" in capsys.readouterr().err
 
     def test_unknown_config_field_rejected(self, graph_path, tmp_path, capsys, monkeypatch):
         config = tmp_path / "config.json"
@@ -498,3 +531,27 @@ class TestConfigFile:
         monkeypatch.setenv("SGKR_CONFIG", str(config))
         code = main(["query", "--question", FEE_QUESTION])
         assert code != 0
+
+    def test_bool_is_no_int_config_field(self, graph_path, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"graph": graph_path, "max_depth": True}))
+        monkeypatch.setenv("SGKR_CONFIG", str(config))
+        code = main(["query", "--question", FEE_QUESTION])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: config file {config}: 'max_depth' must be a int\n"
+
+    def test_null_path_keeps_default(self, graph_path, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"aliases": None, "vectors": None}))
+        monkeypatch.setenv("SGKR_CONFIG", str(config))
+        code = main(["query", "--graph", graph_path, "--question", FEE_QUESTION])
+        assert code == 0
+        assert KNOWLEDGE_HEADER in capsys.readouterr().out
+
+    def test_missing_config_file_is_error(self, graph_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SGKR_CONFIG", str(tmp_path / "ghost.json"))
+        code = main(["query", "--graph", graph_path, "--question", FEE_QUESTION])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: config file not found: {tmp_path / 'ghost.json'}\n"
