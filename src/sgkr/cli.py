@@ -25,8 +25,8 @@ CONFIG_ENV_VAR = "SGKR_CONFIG"
 class Config:
     manifest: str | None = None
     graph: str | None = None
-    max_depth: int = 16
-    max_paths: int = 64
+    max_depth: int = retriever.RetrievalLimits.max_depth
+    max_paths: int = retriever.RetrievalLimits.max_paths
     aliases: str | None = None
     k: int = 5
     vectors: str | None = None
@@ -61,21 +61,7 @@ def _merge(config: Config, args: argparse.Namespace) -> Config:
 def _load_graph(path: str | None) -> graphmod.DependencyGraph:
     if not path:
         raise SgkrError("no graph document given (--graph)")
-    # The graph holds no cycles and lives as long as the command, so the
-    # cyclic collector gains nothing by scanning it: it is paused while
-    # the document is read, and what was loaded is then frozen out of its
-    # reach. Unfreezing is all or nothing, so nothing is frozen when
-    # something already is; `main` puts the collector back as it was.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        loaded = graphmod.deserialize(corpus.read_text(Path(path), "graph document"))
-    finally:
-        if enabled:
-            gc.enable()
-    if not gc.get_freeze_count():
-        gc.freeze()
-    return loaded
+    return graphmod.deserialize(corpus.read_text(Path(path), "graph document"))
 
 
 def _build_vocab(g: graphmod.DependencyGraph, aliases_path: str | None) -> tagger.TagVocabulary:
@@ -99,7 +85,6 @@ def cmd_build(config: Config, out) -> int:
     report = graphmod.validate_graph(built)
     for violation in report.violations:
         print(f"warning: {violation}", file=sys.stderr)
-    Path(config.graph).write_text(graphmod.serialize(built), encoding="utf-8")
 
     # Each merged node absorbed one pre-merge node per extra origin entry.
     merged_away = sum(len(node.origin_entries) for node in built.kc_nodes.values()) \
@@ -109,6 +94,9 @@ def cmd_build(config: Config, out) -> int:
     print(f"call cycles: {len(report.cycles)}", file=out)
     for cycle in report.cycles:
         print("  cycle: " + " -> ".join(cycle), file=out)
+    # Written only once the summary has printed, so a summary the output
+    # stream cannot encode leaves no document behind.
+    Path(config.graph).write_text(graphmod.serialize(built), encoding="utf-8")
     print(f"wrote {config.graph}", file=out)
     return 0
 
@@ -262,7 +250,11 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    collector_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    # A command makes a fixed amount of cyclic garbage whatever its input,
+    # and the graph it loads holds no cycles, so collector passes over it
+    # would find nothing: the collector is off while the command runs.
+    collector_enabled = gc.isenabled()
+    gc.disable()
     try:
         config = _merge(_load_config(), args)
         if args.command == "build":
@@ -271,22 +263,15 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_query(config, args.question, args.format, sys.stdout)
         if args.command == "eval":
             return cmd_eval(config, args.format, sys.stdout)
-        if args.command == "inspect":
-            return cmd_inspect(config, args.dot, args.format, sys.stdout)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_inspect(config, args.dot, args.format, sys.stdout)
     # A UnicodeEncodeError is text the output stream cannot encode, such
     # as a lone surrogate that a JSON input spelled as an escape.
     except (SgkrError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if not frozen:
-            gc.unfreeze()
         if collector_enabled:
             gc.enable()
-        else:
-            gc.disable()
-    return 2
 
 
 if __name__ == "__main__":

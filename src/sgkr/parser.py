@@ -10,13 +10,18 @@ The grammar is line-oriented:
   the bodies it is indented deeper than,
 * ``#`` starts a comment running to the end of the line,
 * string literals use single or double quotes and close on the same line,
+* a line that starts inside an open bracket, or after a line ending in a
+  backslash, continues the line before it: it never opens or closes a
+  definition, and it belongs to every body the line before it belongs to,
 * a call is an identifier immediately followed by ``(``, outside strings
   and comments. Dotted names (``obj.method(``) and keywords do not count.
 
 Nested definitions are flattened: each one becomes its own FunctionDef,
 and a call inside a nested body is attributed to the innermost enclosing
 definition only. One pass over the lines keeps a stack of the open
-definitions and reports the first error in source order.
+definitions and one of the open brackets, and reports the first error in
+source order; a bracket left open is known only at the end of the input,
+so it is reported only when nothing else is wrong.
 """
 
 from __future__ import annotations
@@ -33,15 +38,22 @@ _HEADER_RE = re.compile(
     r"^[ \t]*def\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"\s*\((?P<params>[^()#]*)\)\s*:\s*(?:#.*)?$"
 )
-# One token of a body line. finditer tries the alternatives at each
-# position in turn and skips a character none of them matches.
+# One token of a line; `lastgroup` names its kind (None for a comment or
+# a closed string). finditer tries the alternatives at each position in
+# turn and skips a character none of them matches. A call whose arguments
+# hold no bracket, quote or comment is one token, closed on its line.
 _TOKEN_RE = re.compile(r"""
     \#.*                                # a comment runs to the end of the line
   | "[^"]*" | '[^']*'                   # a closed string literal
   | (?P<open>["'])                      # a quote that never closes
   | (?P<skip>\.?(?:def\s+)*)            # an attribute, or a name right after `def`
-    (?P<name>[A-Za-z_][A-Za-z0-9_]*)(?P<call>\()?
+    (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    (?:(?P<call>\()(?P<args>[^][(){}"'\#\\]*\))?)?  # arguments closed on this line
+  | (?P<bracket>[][(){}])
+  | (?P<backslash>\\$)                  # the line goes on on the next one
 """, re.VERBOSE)
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+_NOTHING_TO_CONTINUE = "backslash before a blank line or the end of the input"
 
 KEYWORDS = frozenset({
     "and", "as", "assert", "break", "class", "continue", "def", "del",
@@ -119,37 +131,71 @@ def extract_functions(source_text: str) -> list[FunctionDef]:
 
     Body slices are exact substrings of `source_text`. Raises ParseError
     on the first grammar violation in source order (bad header,
-    definition without a body, unterminated string).
+    definition without a body, unterminated string, unmatched or unclosed
+    bracket, backslash with no line to continue).
     """
     definitions: list[_Definition] = []
     open_defs: list[_Definition] = []  # outermost first; indents strictly increase
+    brackets: list[tuple[str, int, int]] = []  # open brackets: (bracket, line, column)
+    backslash: tuple[int, int] | None = None  # where the line before ended in one
     end = -1
     for line_no, line in enumerate(source_text.split("\n"), 1):
         start, end = end + 1, end + 1 + len(line)
         code = line.lstrip(" \t")
         if not code.strip():
+            if backslash:
+                raise ParseError(_NOTHING_TO_CONTINUE, *backslash)
             continue
         indent = len(line) - len(code)
-        is_comment = code.startswith("#")
-        while not is_comment and open_defs and indent <= open_defs[-1].indent:
-            _close(open_defs.pop())
-        for definition in open_defs:
-            if definition.indent >= indent:
-                break
-            if definition.body_start is None:
-                definition.body_start = start
-            definition.body_end = end
-        if is_comment:
-            continue
-        if _DEF_RE.match(code):
-            open_defs.append(_parse_header(line, line_no, indent, start))
-            definitions.append(open_defs[-1])
-        elif open_defs:
-            for token in _TOKEN_RE.finditer(line):
-                if token["open"]:
-                    raise ParseError("unterminated string literal", line_no, token.start() + 1)
-                if token["call"] and not token["skip"] and token["name"] not in KEYWORDS:
-                    open_defs[-1].calls[token["name"]] = None
+        if brackets or backslash:
+            if _DEF_RE.match(code):
+                raise ParseError("definition inside a continued line", line_no, indent + 1)
+            for definition in open_defs:
+                definition.body_end = end
+            backslash = None
+        else:
+            is_comment = code.startswith("#")
+            while not is_comment and open_defs and indent <= open_defs[-1].indent:
+                _close(open_defs.pop())
+            for definition in open_defs:
+                if definition.indent >= indent:
+                    break
+                if definition.body_start is None:
+                    definition.body_start = start
+                definition.body_end = end
+            if is_comment:
+                continue
+            if _DEF_RE.match(code):
+                open_defs.append(_parse_header(line, line_no, indent, start))
+                definitions.append(open_defs[-1])
+                continue
+        # Outside every definition only brackets and backslashes count, up
+        # to a quote that never closes.
+        calls = open_defs[-1].calls if open_defs else None
+        for token in _TOKEN_RE.finditer(line):
+            kind = token.lastgroup
+            if kind == "call" or kind == "args":
+                if calls is not None and not token["skip"] and token["name"] not in KEYWORDS:
+                    calls[token["name"]] = None
+                if kind == "call":
+                    brackets.append(("(", line_no, token.end()))
+            elif kind == "bracket":
+                bracket = token["bracket"]
+                if bracket in _CLOSERS:
+                    brackets.append((bracket, line_no, token.end()))
+                elif not brackets or _CLOSERS[brackets.pop()[0]] != bracket:
+                    raise ParseError(f"unmatched {bracket!r}", line_no, token.end())
+            elif kind == "open":
+                if calls is None:
+                    break
+                raise ParseError("unterminated string literal", line_no, token.start() + 1)
+            elif kind == "backslash":
+                backslash = line_no, token.end()
+    if backslash:
+        raise ParseError(_NOTHING_TO_CONTINUE, *backslash)
+    if brackets:
+        bracket, line_no, col = brackets[0]
+        raise ParseError(f"{bracket!r} was never closed", line_no, col)
     for definition in reversed(open_defs):
         _close(definition)
     return [

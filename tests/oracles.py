@@ -6,10 +6,12 @@ that tests compare two separately written routes to the same answer.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import random
 import re
+import warnings
 from collections import Counter, defaultdict
 from dataclasses import replace
 from typing import Sequence
@@ -474,6 +476,35 @@ def oracle_extract_functions(source_text: str) -> list[FunctionDef]:
             text=source_text[starts[d["header_idx"]]:body_end],
         ))
     return result
+
+
+def ast_functions(source_text: str) -> list[tuple[str, tuple[str, ...], tuple[str, ...]]] | None:
+    """The standard-library parser's view of a source: (name, parameters,
+    direct callees) of every `def`, nested ones included, in source order,
+    or None where `ast.parse` rejects the source. A function's callees are
+    the names of the `ast.Name` calls in its own body, nested definitions
+    left out, deduplicated in source order."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a warning is no rejection
+            tree = ast.parse(source_text)
+    except SyntaxError:
+        return None
+    found = []
+    for fn in sorted((node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)),
+                     key=lambda node: node.lineno):
+        calls, todo = [], list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.FunctionDef):
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.append(node)
+            todo.extend(ast.iter_child_nodes(node))
+        calls.sort(key=lambda call: (call.lineno, call.col_offset))
+        found.append((fn.name, tuple(arg.arg for arg in fn.args.args),
+                      tuple(dict.fromkeys(call.func.id for call in calls))))
+    return found
 
 
 def oracle_label_tokens(text: str) -> tuple[str, ...]:

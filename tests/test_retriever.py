@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FEE_NEEDED, FEE_QUESTION, FEE_UNNEEDED
 from oracles import add_malformed_edges, oracle_bfs_paths, oracle_simple_paths, random_io_graph
@@ -22,6 +23,7 @@ from sgkr.graph import (
     IoNode,
     KnowledgeCodeNode,
     serialize,
+    validate_graph,
 )
 from sgkr.retriever import (
     RetrievalLimits,
@@ -394,6 +396,93 @@ class TestBlockFilter:
             longest = max(map(len, oracle_simple_paths(graph, sources, targets, 32)), default=0)
             if longest - 1 > max_depth:
                 assert stats.truncated_by_depth
+
+
+def on_path_reference(graph, sources, targets):
+    """The functions in the blocks between the sources' successors and
+    the targets' predecessors."""
+    index = retriever.traversal_index(graph)
+    starts = {node for source in sources for node in index.moves.get(source, ())}
+    ends = {node for target in targets for node in index.preds.get(target, ())}
+    return index.blocks.between(starts, ends) & graph.kc_nodes.keys()
+
+
+@st.composite
+def io_graphs(draw):
+    """(graph, sources, targets): up to 8 functions with random CALL
+    edges, and one or two inputs and outputs anchored at 1-3 of them."""
+    names = [f"f{i}" for i in range(draw(st.integers(2, 8)))]
+    ids = [f"kc:e0:{name}" for name in names]
+    calls = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=20))
+    anchors = st.lists(st.sets(st.sampled_from(ids), min_size=1, max_size=3), min_size=1,
+                       max_size=2)
+    feeds, yields = draw(anchors), draw(anchors)
+    sources = [f"io:{INPUT}:in{i}" for i in range(len(feeds))]
+    targets = [f"io:{OUTPUT}:out{i}" for i in range(len(yields))]
+    graph = DependencyGraph(
+        kc_nodes={node_id: KnowledgeCodeNode(
+            node_id=node_id, function_name=name, code=f"def {name}():\n    pass",
+            knowledge=f"about {name}", origin_entries=("e0",)) for name, node_id in zip(names, ids)},
+        io_nodes={node_id: IoNode(node_id=node_id, label=node_id.rsplit(":", 1)[1], kind=kind)
+                  for kind, io_ids in ((INPUT, sources), (OUTPUT, targets)) for node_id in io_ids},
+        edges={Edge(src, dst, CALL) for src, dst in calls if src != dst}
+        | {Edge(source, anchor, FEEDS) for source, fed in zip(sources, feeds) for anchor in fed}
+        | {Edge(anchor, target, YIELDS) for target, fed in zip(targets, yields) for anchor in fed},
+    )
+    return graph, sources, targets
+
+
+class TestReferenceSets:
+    """On a graph `validate_graph` accepts, a function lies on a simple
+    source -> target path exactly when it is in the blocks between the
+    sources' successors and the targets' predecessors. So the retrieved
+    functions are that set when no limit cut the search short, and a
+    subset of it when one did."""
+
+    @staticmethod
+    def check(graph, sources, targets, limits):
+        assert not validate_graph(graph).violations
+        stats = SearchStats()
+        paths = find_paths(graph, sources, targets, limits, stats)
+        retrieved = {node for path in paths for node in path.nodes} & graph.kc_nodes.keys()
+        reference = on_path_reference(graph, sources, targets)
+        if stats.truncated_by_paths or stats.truncated_by_depth or stats.truncated_by_budget:
+            assert retrieved <= reference
+        else:
+            assert retrieved == reference
+
+    @pytest.mark.parametrize("max_depth, max_paths", [(16, 64), (3, 4), (40, 10**7)])
+    def test_random_io_graphs(self, max_depth, max_paths):
+        rng = random.Random(8600 + max_depth)
+        for _ in range(1000):
+            self.check(*random_io_graph(rng), RetrievalLimits(max_depth, max_paths))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(io_graphs(), st.sampled_from([(16, 64), (3, 4), (40, 10**7)]))
+    def test_hypothesis_graphs(self, case, limits):
+        self.check(*case, RetrievalLimits(*limits))
+
+    def test_small_benchmark_workloads(self, small_workloads):
+        for graph, vocab, questions, _ in small_workloads.values():
+            for question in questions:
+                tags = extract_tags(question, vocab)
+                if not tags.fallback:
+                    self.check(graph, [graph.io_node_id(label, INPUT) for label in tags.inputs],
+                               [graph.io_node_id(label, OUTPUT) for label in tags.outputs],
+                               RetrievalLimits())
+
+    def test_networkx_simple_paths(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(8701)
+        for _ in range(500):
+            graph, sources, targets = random_io_graph(rng, max_kc=8)
+            index = retriever.traversal_index(graph)
+            walks = nx.DiGraph([(node, nxt) for node, moves in index.moves.items()
+                                for nxt in moves])
+            on_path = {node for source in sources for target in targets
+                       if walks.has_node(source) and walks.has_node(target)
+                       for path in nx.all_simple_paths(walks, source, target) for node in path}
+            assert on_path & graph.kc_nodes.keys() == on_path_reference(graph, sources, targets)
 
 
 class TestRetrieve:
