@@ -12,7 +12,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import baselines, context, corpus, graph as graphmod, retriever, tagger
@@ -20,42 +19,31 @@ from .errors import SgkrError
 
 CONFIG_ENV_VAR = "SGKR_CONFIG"
 
-
-@dataclass
-class Config:
-    manifest: str | None = None
-    graph: str | None = None
-    max_depth: int = retriever.RetrievalLimits.max_depth
-    max_paths: int = retriever.RetrievalLimits.max_paths
-    aliases: str | None = None
-    k: int = 5
-    vectors: str | None = None
-    gold: str | None = None
-    methods: str = "sgkr,lexical"
-
-
-# A field that defaults to None takes a string or null; any other takes
-# its default's type.
-_CONFIG_FIELDS = {field.name: (str, type(None)) if field.default is None else type(field.default)
-                  for field in fields(Config)}
+_DEFAULTS = {
+    "manifest": None,
+    "graph": None,
+    "max_depth": retriever.RetrievalLimits.max_depth,
+    "max_paths": retriever.RetrievalLimits.max_paths,
+    "aliases": None,
+    "k": 5,
+    "vectors": None,
+    "gold": None,
+    "methods": "sgkr,lexical",
+}
+# A key that defaults to None takes a string or null; any other takes its
+# default's type.
+_CONFIG_FIELDS = {key: (str, type(None)) if default is None else type(default)
+                  for key, default in _DEFAULTS.items()}
 
 
-def _load_config() -> Config:
+def _load_config() -> dict:
     config_path = os.environ.get(CONFIG_ENV_VAR)
     if not config_path:
-        return Config()
+        return _DEFAULTS
     raw = corpus.read_json(Path(config_path), SgkrError, "config file")
     if type(raw) is dict:
-        raw = {**asdict(Config()), **raw}
-    return Config(**corpus.check(raw, _CONFIG_FIELDS, f"config file {config_path}", SgkrError))
-
-
-def _merge(config: Config, args: argparse.Namespace) -> Config:
-    for field in fields(Config):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(config, field.name, value)
-    return config
+        raw = {**_DEFAULTS, **raw}
+    return corpus.check(raw, _CONFIG_FIELDS, f"config file {config_path}", SgkrError)
 
 
 def _load_graph(path: str | None) -> graphmod.DependencyGraph:
@@ -69,19 +57,19 @@ def _build_vocab(g: graphmod.DependencyGraph, aliases_path: str | None) -> tagge
     return tagger.build_vocabulary(g, aliases)
 
 
-def _limits(config: Config) -> retriever.RetrievalLimits:
+def _limits(args: argparse.Namespace) -> retriever.RetrievalLimits:
     try:
-        return retriever.RetrievalLimits(max_depth=config.max_depth, max_paths=config.max_paths)
+        return retriever.RetrievalLimits(max_depth=args.max_depth, max_paths=args.max_paths)
     except ValueError as exc:
         raise SgkrError(str(exc)) from exc
 
 
-def cmd_build(config: Config, out) -> int:
-    if not config.manifest:
+def cmd_build(args: argparse.Namespace, out) -> int:
+    if not args.manifest:
         raise SgkrError("no manifest given (--manifest)")
-    if not config.graph:
+    if not args.graph:
         raise SgkrError("no output path given (--graph)")
-    built = graphmod.build_graph(corpus.load_corpus(config.manifest))
+    built = graphmod.build_graph(corpus.load_corpus(args.manifest))
     report = graphmod.validate_graph(built)
     for violation in report.violations:
         print(f"warning: {violation}", file=sys.stderr)
@@ -96,19 +84,19 @@ def cmd_build(config: Config, out) -> int:
         print("  cycle: " + " -> ".join(cycle), file=out)
     # Written only once the summary has printed, so a summary the output
     # stream cannot encode leaves no document behind.
-    Path(config.graph).write_text(graphmod.serialize(built), encoding="utf-8")
-    print(f"wrote {config.graph}", file=out)
+    Path(args.graph).write_text(graphmod.serialize(built), encoding="utf-8")
+    print(f"wrote {args.graph}", file=out)
     return 0
 
 
-def cmd_query(config: Config, question: str, output_format: str, out) -> int:
-    g = _load_graph(config.graph)
-    vocab = _build_vocab(g, config.aliases)
-    tagset = tagger.extract_tags(question, vocab)
-    result = retriever.retrieve(g, tagset, _limits(config))
+def cmd_query(args: argparse.Namespace, out) -> int:
+    g = _load_graph(args.graph)
+    vocab = _build_vocab(g, args.aliases)
+    tagset = tagger.extract_tags(args.question, vocab)
+    result = retriever.retrieve(g, tagset, _limits(args))
     bundle = context.assemble_context(result, g)
 
-    if output_format == "structured":
+    if args.format == "structured":
         payload = context.bundle_to_dict(bundle)
         payload["fallback"] = result.fallback
         payload["inputs"] = sorted(tagset.inputs)
@@ -131,13 +119,22 @@ def cmd_query(config: Config, question: str, output_format: str, out) -> int:
     return 0
 
 
-def cmd_eval(config: Config, output_format: str, out) -> int:
-    g = _load_graph(config.graph)
-    if not config.gold:
+def cmd_eval(args: argparse.Namespace, out) -> int:
+    # The methods are checked before any work, so a bad name fails at once.
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise SgkrError("no methods given (--methods)")
+    for method in methods:
+        if method not in ("sgkr", "lexical", "vectors"):
+            raise SgkrError(f"unknown method {method!r} (expected sgkr, lexical, vectors)")
+    if "vectors" in methods and not args.vectors:
+        raise SgkrError("method 'vectors' requires --vectors")
+    g = _load_graph(args.graph)
+    if not args.gold:
         raise SgkrError("no gold file given (--gold)")
-    gold = baselines.load_gold(config.gold)
+    gold = baselines.load_gold(args.gold)
     if not gold:
-        raise SgkrError(f"gold file {config.gold} contains no questions")
+        raise SgkrError(f"gold file {args.gold} contains no questions")
     known_names = {node.function_name for node in g.kc_nodes.values()}
     for annotation in gold:
         stray = (annotation.needed | annotation.unneeded) - known_names
@@ -147,19 +144,16 @@ def cmd_eval(config: Config, output_format: str, out) -> int:
                 f"{sorted(stray)}"
             )
 
-    methods = [m.strip() for m in config.methods.split(",") if m.strip()]
-    if not methods:
-        raise SgkrError("no methods given (--methods)")
-    if config.k < 1:
+    if args.k < 1:
         raise SgkrError("baseline budget k must be >= 1")
-    vectors = baselines.load_vectors(config.vectors) if config.vectors else None
-    limits = _limits(config)
+    vectors = baselines.load_vectors(args.vectors) if args.vectors else None
+    limits = _limits(args)
 
     reports: dict[str, baselines.EvalReport] = {}
     for method in methods:
         results: dict[str, frozenset[str]] = {}
         if method == "sgkr":
-            vocab = _build_vocab(g, config.aliases)
+            vocab = _build_vocab(g, args.aliases)
             for annotation in gold:
                 tagset = tagger.extract_tags(annotation.question, vocab)
                 retrieval = retriever.retrieve(g, tagset, limits)
@@ -168,18 +162,14 @@ def cmd_eval(config: Config, output_format: str, out) -> int:
                           file=sys.stderr)
                 results[annotation.question] = frozenset(
                     retriever.retrieved_kc_names(retrieval, g))
-        elif method in ("lexical", "vectors"):
-            if method == "vectors" and vectors is None:
-                raise SgkrError("method 'vectors' requires --vectors")
+        else:
             for annotation in gold:
                 names = baselines.retrieve_topk(
-                    annotation.question, g, config.k, scorer=method, vectors=vectors)
+                    annotation.question, g, args.k, scorer=method, vectors=vectors)
                 results[annotation.question] = frozenset(names)
-        else:
-            raise SgkrError(f"unknown method {method!r} (expected sgkr, lexical, vectors)")
         reports[method] = baselines.evaluate(results, gold)
 
-    if output_format == "structured":
+    if args.format == "structured":
         payload = {method: baselines.eval_report_to_dict(report)
                    for method, report in reports.items()}
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
@@ -188,12 +178,12 @@ def cmd_eval(config: Config, output_format: str, out) -> int:
     return 0
 
 
-def cmd_inspect(config: Config, dot: bool, output_format: str, out) -> int:
-    g = _load_graph(config.graph)
-    if dot:
+def cmd_inspect(args: argparse.Namespace, out) -> int:
+    g = _load_graph(args.graph)
+    if args.dot:
         print(graphmod.to_dot(g), file=out, end="")
         return 0
-    if output_format == "structured":
+    if args.format == "structured":
         print(graphmod.serialize(g), file=out, end="")
         return 0
     print(f"kc-nodes ({len(g.kc_nodes)}):", file=out)
@@ -216,56 +206,66 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_graph_flags(p: argparse.ArgumentParser, *, search: bool) -> None:
         p.add_argument("--graph", help="graph document path")
-        p.add_argument("--max-depth", dest="max_depth", type=int,
-                       help="longest dependency path searched, in edges")
-        p.add_argument("--max-paths", dest="max_paths", type=int, help="path count limit")
-        p.add_argument("--aliases", help="alias file path")
+        if search:
+            p.add_argument("--max-depth", type=int,
+                           help="longest dependency path searched, in edges")
+            p.add_argument("--max-paths", type=int, help="path count limit")
+            p.add_argument("--aliases", help="alias file path")
         p.add_argument("--format", choices=("text", "structured"), default="text",
                        help="output format")
 
     p_build = sub.add_parser("build", help="build a graph document from a corpus manifest")
+    p_build.set_defaults(run=cmd_build)
     p_build.add_argument("--manifest", help="corpus manifest path")
     p_build.add_argument("--graph", help="output graph document path")
 
     p_query = sub.add_parser("query", help="retrieve context for a question")
-    add_common(p_query)
+    p_query.set_defaults(run=cmd_query)
+    add_graph_flags(p_query, search=True)
     p_query.add_argument("--question", required=True)
 
     p_eval = sub.add_parser("eval", help="score retrieval methods against gold annotations")
-    add_common(p_eval)
+    p_eval.set_defaults(run=cmd_eval)
+    add_graph_flags(p_eval, search=True)
     p_eval.add_argument("--gold", help="gold annotation file")
     p_eval.add_argument("--methods", help="comma-separated: sgkr, lexical, vectors")
     p_eval.add_argument("--k", type=int, help="baseline retrieval budget")
     p_eval.add_argument("--vectors", help="vector file for the vectors scorer")
 
     p_inspect = sub.add_parser("inspect", help="list a graph document's contents")
-    add_common(p_inspect)
+    p_inspect.set_defaults(run=cmd_inspect)
+    add_graph_flags(p_inspect, search=False)
     p_inspect.add_argument("--dot", action="store_true", help="emit a Graphviz document")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     # A command makes a fixed amount of cyclic garbage whatever its input,
     # and the graph it loads holds no cycles, so collector passes over it
     # would find nothing: the collector is off while the command runs.
     collector_enabled = gc.isenabled()
     gc.disable()
+    # Text the output stream cannot encode, such as a lone surrogate that a
+    # JSON input spelled as an escape, is printed as its backslash escape.
+    # `reconfigure` flushes the stream, so a closed pipe can fail it.
+    out = sys.stdout
+    errors = out.errors if hasattr(out, "reconfigure") else None
     try:
-        config = _merge(_load_config(), args)
-        if args.command == "build":
-            return cmd_build(config, sys.stdout)
-        if args.command == "query":
-            return cmd_query(config, args.question, args.format, sys.stdout)
-        if args.command == "eval":
-            return cmd_eval(config, args.format, sys.stdout)
-        return cmd_inspect(config, args.dot, args.format, sys.stdout)
-    # A UnicodeEncodeError is text the output stream cannot encode, such
-    # as a lone surrogate that a JSON input spelled as an escape.
+        if errors is not None:
+            out.reconfigure(errors="backslashreplace")
+        try:
+            for key, value in _load_config().items():
+                if getattr(args, key, None) is None:
+                    setattr(args, key, value)
+            return args.run(args, out)
+        finally:
+            if errors is not None:
+                out.reconfigure(errors=errors)
+    # A stream that cannot be reconfigured may still fail to encode.
     except (SgkrError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -65,20 +65,18 @@ def check(record: object, fields: Mapping[str, type | tuple[type, ...]], where: 
 
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
-_WS_RE = re.compile(r"\s+")
 
 
 def normalize_label(text: str) -> str:
     """Normalize a tag label or question: lowercase, punctuation stripped
-    (underscores survive), whitespace collapsed."""
-    cleaned = _PUNCT_RE.sub(" ", text.lower())
-    return _WS_RE.sub(" ", cleaned).strip()
+    (underscores survive), whitespace collapsed; its tokens joined by
+    single spaces."""
+    return " ".join(label_tokens(text))
 
 
 def label_tokens(text: str) -> tuple[str, ...]:
-    """Token sequence of a normalized label or question. `str.split`
-    splits on the whitespace `_WS_RE` collapses, so only the punctuation
-    pass of `normalize_label` is needed."""
+    """Token sequence of a label or question: lowercased, punctuation
+    made a separator, split on runs of whitespace."""
     return tuple(_PUNCT_RE.sub(" ", text.lower()).split())
 
 

@@ -9,10 +9,15 @@ The grammar is line-oriented:
   comment-only lines never end a body, and a comment-only line joins only
   the bodies it is indented deeper than,
 * ``#`` starts a comment running to the end of the line,
-* string literals use single or double quotes and close on the same line,
-* a line that starts inside an open bracket, or after a line ending in a
-  backslash, continues the line before it: it never opens or closes a
-  definition, and it belongs to every body the line before it belongs to,
+* string literals use single or double quotes, and a backslash escapes
+  the character after it; a string closes on its line, or on a later one
+  when its line ends in an unescaped backslash, and a line that starts
+  inside such a string is read only after the quote that closes it.
+  Triple-quoted strings are not in the grammar,
+* a line that starts inside an open bracket or string, or after a line
+  ending in a backslash, continues the line before it: it never opens or
+  closes a definition, and it belongs to every body the line before it
+  belongs to,
 * a call is an identifier immediately followed by ``(``, outside strings
   and comments. Dotted names (``obj.method(``) and keywords do not count.
 
@@ -38,20 +43,28 @@ _HEADER_RE = re.compile(
     r"^[ \t]*def\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"\s*\((?P<params>[^()#]*)\)\s*:\s*(?:#.*)?$"
 )
+# The inside of a string quoted by each quote. An escape is a backslash
+# and the character after it, so a string's last backslash is unescaped
+# when the run of backslashes it ends is odd.
+_STRING_BODIES = {q: rf"[^{q}\\]*(?:\\.[^{q}\\]*)*" for q in "\"'"}
 # One token of a line; `lastgroup` names its kind (None for a comment or
 # a closed string). finditer tries the alternatives at each position in
 # turn and skips a character none of them matches. A call whose arguments
 # hold no bracket, quote or comment is one token, closed on its line.
 _TOKEN_RE = re.compile(r"""
     \#.*                                # a comment runs to the end of the line
-  | "[^"]*" | '[^']*'                   # a closed string literal
-  | (?P<open>["'])                      # a quote that never closes
+  | "%s" | '%s'                         # a closed string literal
+  | (?P<open>["'])                      # a quote that does not close on its line
   | (?P<skip>\.?(?:def\s+)*)            # an attribute, or a name right after `def`
     (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     (?:(?P<call>\()(?P<args>[^][(){}"'\#\\]*\))?)?  # arguments closed on this line
   | (?P<bracket>[][(){}])
   | (?P<backslash>\\$)                  # the line goes on on the next one
-""", re.VERBOSE)
+""" % (_STRING_BODIES['"'], _STRING_BODIES["'"]), re.VERBOSE)
+# The rest of a string, from a point inside it: up to its closing quote,
+# or to an unescaped backslash that ends the line, where it goes on.
+_STRING_TAILS = {q: re.compile(rf"{body}(?:(?P<closed>{q})|\\$)")
+                 for q, body in _STRING_BODIES.items()}
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 _NOTHING_TO_CONTINUE = "backslash before a blank line or the end of the input"
 
@@ -138,21 +151,33 @@ def extract_functions(source_text: str) -> list[FunctionDef]:
     open_defs: list[_Definition] = []  # outermost first; indents strictly increase
     brackets: list[tuple[str, int, int]] = []  # open brackets: (bracket, line, column)
     backslash: tuple[int, int] | None = None  # where the line before ended in one
+    string: tuple[str, int, int] | None = None  # the open string's quote, line and column
     end = -1
     for line_no, line in enumerate(source_text.split("\n"), 1):
         start, end = end + 1, end + 1 + len(line)
         code = line.lstrip(" \t")
-        if not code.strip():
+        if not code.strip() and not string:
             if backslash:
                 raise ParseError(_NOTHING_TO_CONTINUE, *backslash)
             continue
         indent = len(line) - len(code)
-        if brackets or backslash:
-            if _DEF_RE.match(code):
+        pos = 0  # where the line's code starts
+        if brackets or backslash or string:
+            if not string and _DEF_RE.match(code):
                 raise ParseError("definition inside a continued line", line_no, indent + 1)
             for definition in open_defs:
                 definition.body_end = end
             backslash = None
+            if string:
+                tail = _STRING_TAILS[string[0]].match(line)
+                if not tail:  # the string never closes
+                    if open_defs:
+                        raise ParseError("unterminated string literal", *string[1:])
+                    string = None
+                    continue
+                if not tail["closed"]:  # it goes on on the next line
+                    continue
+                string, pos = None, tail.end()
         else:
             is_comment = code.startswith("#")
             while not is_comment and open_defs and indent <= open_defs[-1].indent:
@@ -172,7 +197,7 @@ def extract_functions(source_text: str) -> list[FunctionDef]:
         # Outside every definition only brackets and backslashes count, up
         # to a quote that never closes.
         calls = open_defs[-1].calls if open_defs else None
-        for token in _TOKEN_RE.finditer(line):
+        for token in _TOKEN_RE.finditer(line, pos):
             kind = token.lastgroup
             if kind == "call" or kind == "args":
                 if calls is not None and not token["skip"] and token["name"] not in KEYWORDS:
@@ -186,13 +211,17 @@ def extract_functions(source_text: str) -> list[FunctionDef]:
                 elif not brackets or _CLOSERS[brackets.pop()[0]] != bracket:
                     raise ParseError(f"unmatched {bracket!r}", line_no, token.end())
             elif kind == "open":
-                if calls is None:
-                    break
-                raise ParseError("unterminated string literal", line_no, token.start() + 1)
+                if _STRING_TAILS[token["open"]].match(line, token.end()):
+                    string = token["open"], line_no, token.start() + 1
+                elif calls is not None:
+                    raise ParseError("unterminated string literal", line_no, token.start() + 1)
+                break
             elif kind == "backslash":
                 backslash = line_no, token.end()
     if backslash:
         raise ParseError(_NOTHING_TO_CONTINUE, *backslash)
+    if string and open_defs:
+        raise ParseError("unterminated string literal", *string[1:])
     if brackets:
         bracket, line_no, col = brackets[0]
         raise ParseError(f"{bracket!r} was never closed", line_no, col)

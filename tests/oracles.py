@@ -18,7 +18,6 @@ from typing import Sequence
 
 from sgkr.baselines import BM25_B, BM25_K1
 from sgkr.context import ContextBundle
-from sgkr.corpus import normalize_label
 from sgkr.graph import (
     CALL,
     EDGE_TYPES,
@@ -507,10 +506,17 @@ def ast_functions(source_text: str) -> list[tuple[str, tuple[str, ...], tuple[st
     return found
 
 
+def oracle_normalize_label(text: str) -> str:
+    """The two-pass label normalizer: punctuation made spaces, then every
+    whitespace run collapsed to one space and the ends stripped."""
+    cleaned = re.sub(r"[^\w\s]", " ", text.lower())
+    return re.sub(r"\s+", " ", cleaned).strip()
+
+
 def oracle_label_tokens(text: str) -> tuple[str, ...]:
     """Tokens of the normalized text: punctuation, case and whitespace runs
     normalized away first, then split on single spaces."""
-    normalized = normalize_label(text)
+    normalized = oracle_normalize_label(text)
     return tuple(normalized.split(" ")) if normalized else ()
 
 

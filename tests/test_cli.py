@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -134,9 +135,9 @@ class TestBuild:
             "  cycle: kc:e2:d -> kc:e2:e -> kc:e2:d",
         ]
 
-    def test_unencodable_cycle_line_leaves_no_document(self, tmp_path, capsys):
+    def test_unencodable_cycle_line_is_escaped(self, tmp_path, capsys):
         # The entry id holds a lone surrogate (the JSON escape "\ud800"),
-        # which the cycle line names and no UTF-8 stream can print.
+        # which the cycle line names and no UTF-8 stream can print as is.
         (tmp_path / "e.py").write_text("def f(x):\n    return f(x)\n")
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"corpus_name": "t", "version": "1", "entries": [{
@@ -146,11 +147,14 @@ class TestBuild:
             "knowledge": {},
         }]}))
         out = tmp_path / "g.json"
+        errors = sys.stdout.errors
         code = main(["build", "--manifest", str(manifest), "--graph", str(out)])
         captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.splitlines()[-1].startswith("error:")
-        assert not out.exists()
+        assert code == 0
+        assert "  cycle: kc:e\\ud800:f -> kc:e\\ud800:f\n" in captured.out
+        assert captured.err == ""
+        assert "kc:e\\ud800:f" in out.read_text(encoding="utf-8")
+        assert sys.stdout.errors == errors
 
 
 class TestQuery:
@@ -222,10 +226,10 @@ class TestQuery:
         assert code == 0
         assert captured.out.startswith("note: no dependency paths found\n")
 
-    def test_unencodable_knowledge_is_error_in_text_only(self, tmp_path, capsys):
+    def test_unencodable_knowledge_answers_in_both_formats(self, tmp_path, capsys):
         # The manifest spells a lone surrogate as the JSON escape "\ud800":
         # valid JSON, and kept as an escape in the ASCII graph document,
-        # but no UTF-8 stream can print it.
+        # but no UTF-8 stream can print it as is.
         manifest = write_corpus(tmp_path, {"e1": "def f():\n    pass\n"},
                                 knowledge={"e1": {"f": "fee \ud800"}})
         assert "\\ud800" in (tmp_path / "manifest.json").read_text()
@@ -233,13 +237,14 @@ class TestQuery:
         assert main(["build", "--manifest", manifest, "--graph", str(graph)]) == 0
         capsys.readouterr()
         argv = ["query", "--graph", str(graph), "--question", "from e1 in to e1 out"]
+        errors = sys.stdout.errors
         assert main(argv + ["--format", "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["knowledge"][0]["knowledge"] == "fee \ud800"
-        code = main(argv)
+        assert main(argv) == 0
         captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.splitlines()[-1].startswith("error: 'utf-8' codec can't encode")
-        assert "Traceback" not in captured.err
+        assert "fee \\ud800\n" in captured.out
+        assert captured.err == ""
+        assert sys.stdout.errors == errors
 
 
 class TestEval:
@@ -324,6 +329,20 @@ class TestEval:
         assert code == 1
         assert captured.err == "error: alias 'fee alias': 'label' must be a str\n"
 
+    @pytest.mark.parametrize("methods, message", [
+        ("sgkr,bogus", "unknown method 'bogus' (expected sgkr, lexical, vectors)"),
+        ("sgkr,vectors", "method 'vectors' requires --vectors"),
+    ])
+    def test_bad_methods_fail_before_any_retrieval(self, graph_path, capsys, monkeypatch,
+                                                   methods, message):
+        def no_retrieval(*args):
+            raise AssertionError("retrieve called")
+
+        monkeypatch.setattr(retriever, "retrieve", no_retrieval)
+        code = main(["eval", "--graph", graph_path, "--gold", GOLD, "--methods", methods])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestInspect:
     def test_lists_nodes_and_edges(self, graph_path, capsys):
@@ -363,6 +382,14 @@ class TestInspect:
             main(["inspect", "--graph", graph_path, "--wibble"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--max-depth", "3"], ["--max-paths", "3"],
+                                      ["--aliases", ALIASES]])
+    def test_search_flags_are_usage_errors(self, graph_path, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["inspect", "--graph", graph_path, *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_nonpositive_limit_rejected(self, graph_path, capsys):
         code = main(["query", "--graph", graph_path, "--question", "x",
                      "--max-depth", "0"])
@@ -398,6 +425,40 @@ class TestInputEncoding:
         assert captured.err.startswith(f"error: {bad}: not UTF-8")
         assert "Traceback" not in captured.err
 
+
+
+class TestClosedStdout:
+    """A stdout whose flush fails, as on a pipe whose reader has gone:
+    `main` flushes it when it sets and restores the escape rule, and a
+    failed flush ends in an `error:` line with the collector restored."""
+
+    class ClosedPipe(io.TextIOWrapper):
+        def __init__(self, fail_from):
+            super().__init__(io.BytesIO(), encoding="utf-8")
+            self.fail_from = fail_from
+
+        def flush(self):
+            if self.errors in self.fail_from:
+                raise BrokenPipeError(32, "Broken pipe")
+            super().flush()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("fail_from", [("strict", "backslashreplace"), ("backslashreplace",)],
+                             ids=["on-set", "on-restore"])
+    def test_error_line_and_collector_restored(self, graph_path, capsys, monkeypatch,
+                                               fail_from, enabled):
+        stream = self.ClosedPipe(fail_from)
+        monkeypatch.setattr(sys, "stdout", stream)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = main(["inspect", "--graph", graph_path, "--dot"])
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+            stream.fail_from = ()  # the stream is flushed again when it is freed
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 class TestCollectorState:
     """`main` runs the command with the cyclic collector off and freezes
@@ -587,6 +648,24 @@ class TestConfigFile:
         code = main(["query", "--graph", graph_path, "--question", FEE_QUESTION])
         assert code == 0
         assert KNOWLEDGE_HEADER in capsys.readouterr().out
+
+    def test_every_key_set_serves_every_command(self, tmp_path, capsys, monkeypatch):
+        graph = tmp_path / "g.json"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "manifest": MANIFEST, "graph": str(graph), "max_depth": 16, "max_paths": 64,
+            "aliases": ALIASES, "k": 5, "vectors": VECTORS, "gold": GOLD,
+            "methods": "sgkr,lexical,vectors",
+        }))
+        monkeypatch.setenv("SGKR_CONFIG", str(config))
+        assert main(["build"]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {graph}\n")
+        assert main(["query", "--question", FEE_QUESTION]) == 0
+        assert capsys.readouterr().out.count("def ") == 5
+        assert main(["eval", "--format", "structured"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["lexical", "sgkr", "vectors"]
+        assert main(["inspect"]) == 0
+        assert capsys.readouterr().out.startswith("kc-nodes (12):\n")
 
     def test_missing_config_file_is_error(self, graph_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SGKR_CONFIG", str(tmp_path / "ghost.json"))

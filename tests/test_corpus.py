@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import oracle_label_tokens
+from oracles import oracle_label_tokens, oracle_normalize_label
 from sgkr.corpus import (
     Corpus,
     label_tokens,
@@ -87,6 +87,18 @@ class TestNormalizeLabel:
         @hypothesis.given(hypothesis.strategies.text())
         def check(text):
             assert label_tokens(text) == oracle_label_tokens(text)
+
+        check()
+
+    def test_matches_two_pass_normalizer(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        edges = st.sampled_from(" \t\n\x0b\x1c\x1f\x85\xa0\u2028\u3000_-?!.aZ9\u00e9\u0130\u00df")
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.one_of(st.text(), st.text(edges)))
+        def check(text):
+            assert normalize_label(text) == oracle_normalize_label(text)
 
         check()
 
