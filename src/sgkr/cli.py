@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import baselines, context, corpus, graph as graphmod, retriever, tagger
+from . import context, corpus, graph as graphmod, retriever, tagger
 from .errors import SgkrError
 
 CONFIG_ENV_VAR = "SGKR_CONFIG"
@@ -22,8 +22,7 @@ CONFIG_ENV_VAR = "SGKR_CONFIG"
 _DEFAULTS = {
     "manifest": None,
     "graph": None,
-    "max_depth": retriever.RetrievalLimits.max_depth,
-    "max_paths": retriever.RetrievalLimits.max_paths,
+    **retriever.RetrievalLimits()._asdict(),  # max_depth, max_paths
     "aliases": None,
     "k": 5,
     "vectors": None,
@@ -90,10 +89,11 @@ def cmd_build(args: argparse.Namespace, out) -> int:
 
 
 def cmd_query(args: argparse.Namespace, out) -> int:
+    limits = _limits(args)
     g = _load_graph(args.graph)
     vocab = _build_vocab(g, args.aliases)
     tagset = tagger.extract_tags(args.question, vocab)
-    result = retriever.retrieve(g, tagset, _limits(args))
+    result = retriever.retrieve(g, tagset, limits)
     bundle = context.assemble_context(result, g)
 
     if args.format == "structured":
@@ -120,7 +120,9 @@ def cmd_query(args: argparse.Namespace, out) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, out) -> int:
-    # The methods are checked before any work, so a bad name fails at once.
+    from . import baselines  # only `eval` ranks by similarity
+
+    # The flags are checked before any file is read, so a bad one fails at once.
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise SgkrError("no methods given (--methods)")
@@ -129,9 +131,12 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
             raise SgkrError(f"unknown method {method!r} (expected sgkr, lexical, vectors)")
     if "vectors" in methods and not args.vectors:
         raise SgkrError("method 'vectors' requires --vectors")
-    g = _load_graph(args.graph)
+    if args.k < 1:
+        raise SgkrError("baseline budget k must be >= 1")
     if not args.gold:
         raise SgkrError("no gold file given (--gold)")
+    limits = _limits(args)
+    g = _load_graph(args.graph)
     gold = baselines.load_gold(args.gold)
     if not gold:
         raise SgkrError(f"gold file {args.gold} contains no questions")
@@ -144,10 +149,7 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
                 f"{sorted(stray)}"
             )
 
-    if args.k < 1:
-        raise SgkrError("baseline budget k must be >= 1")
     vectors = baselines.load_vectors(args.vectors) if args.vectors else None
-    limits = _limits(args)
 
     reports: dict[str, baselines.EvalReport] = {}
     for method in methods:

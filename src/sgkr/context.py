@@ -17,7 +17,7 @@ edges.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import CALL, DependencyGraph
 from .retriever import DependencyPath, RetrievalResult, traversal_index
@@ -26,8 +26,7 @@ KNOWLEDGE_HEADER = "Following domain knowledge and context should be helpful:"
 FUNCTIONS_HEADER = "Here are some example functions that you may refer to:"
 
 
-@dataclass(frozen=True)
-class ContextBundle:
+class ContextBundle(NamedTuple):
     """Knowledge texts and code examples for one retrieval, plus the
     dependency paths that produced them. Both lists share the same
     function-name order."""

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DuplicateEntryId, MalformedManifest, MissingFile, NotUtf8, SgkrError
 
@@ -80,8 +79,7 @@ def label_tokens(text: str) -> tuple[str, ...]:
     return tuple(_PUNCT_RE.sub(" ", text.lower()).split())
 
 
-@dataclass(frozen=True)
-class IoDecl:
+class IoDecl(NamedTuple):
     """One declared semantic input or output: a normalized label plus the
     name of the function it attaches to."""
 
@@ -89,22 +87,19 @@ class IoDecl:
     anchor: str
 
 
-@dataclass(frozen=True)
-class IoSpec:
+class IoSpec(NamedTuple):
     inputs: tuple[IoDecl, ...]
     outputs: tuple[IoDecl, ...]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     entry_id: str
     source_text: str
     io_spec: IoSpec
-    knowledge_map: dict[str, str] = field(hash=False)
+    knowledge_map: dict[str, str]
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """An ordered collection of entries. Entry order is significant: it
     decides which duplicate node survives merging downstream."""
 

@@ -6,20 +6,21 @@ into a single canonical node, then insert semantic I/O nodes and attach
 them to their anchor functions. The merged graph is what retrieval runs
 against and what gets persisted.
 
-Nodes and graphs are read-only once made. Each step, like `deserialize`,
-fills local dicts and an edge collection and makes its graph once; a
-changed node or graph is a new one, made with `dataclasses.replace`.
+Nodes and graphs are read-only once made: nodes are `NamedTuple` records.
+Each step, like `deserialize`, fills local dicts and an edge collection
+and makes its graph once; a changed node or graph is a new one, made with
+its `_replace` method.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
-from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, IoSpec, check
 from .errors import (
@@ -28,7 +29,9 @@ from .errors import (
     KnowledgeBindingError,
     SchemaViolation,
 )
-from .parser import TraceFragment, build_trace_fragment
+
+if TYPE_CHECKING:
+    from .parser import TraceFragment
 
 CALL = "CALL"
 FEEDS = "FEEDS"
@@ -49,8 +52,7 @@ class Edge(NamedTuple):
     type: str
 
 
-@dataclass(frozen=True)
-class KnowledgeCodeNode:
+class KnowledgeCodeNode(NamedTuple):
     """A function bound to its domain-knowledge text.
 
     `origin_entries` lists the corpus entries the function appeared in;
@@ -66,37 +68,58 @@ class KnowledgeCodeNode:
     variants: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class IoNode:
+class IoNode(NamedTuple):
     node_id: str
     label: str
     kind: str  # INPUT or OUTPUT
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class _ReadOnly:
+    """Base of the classes whose `__init__` sets every attribute with
+    `object.__setattr__`; setting or deleting one later raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class DependencyGraph(_ReadOnly):
     """Directed graph over knowledge-code nodes and semantic I/O nodes.
 
     Edge types: CALL (function -> function it calls), FEEDS (input I/O
     node -> consuming function), YIELDS (function -> output I/O node).
 
     Read-only once made: the node maps are read-only views of private
-    copies and the edges a frozenset. `dataclasses.replace(graph, ...)`
-    makes a changed graph, which starts with an empty cache.
+    copies and the edges a frozenset. Graphs are equal when their nodes
+    and edges are. `graph._replace(...)` makes a changed graph, which
+    starts with an empty cache.
     """
 
-    kc_nodes: Mapping[str, KnowledgeCodeNode] = field(default_factory=dict)
-    io_nodes: Mapping[str, IoNode] = field(default_factory=dict)
-    edges: frozenset[Edge] = frozenset()
-    # Structures derived from the graph and memoized on it by the module
-    # that owns them (the retriever's traversal index, the lexical ranker).
-    cache: dict[str, object] = field(default_factory=dict, init=False, repr=False,
-                                     compare=False)
+    __slots__ = ("kc_nodes", "io_nodes", "edges", "cache")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kc_nodes", MappingProxyType(dict(self.kc_nodes)))
-        object.__setattr__(self, "io_nodes", MappingProxyType(dict(self.io_nodes)))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+    def __init__(self, kc_nodes: Mapping[str, KnowledgeCodeNode] = MappingProxyType({}),
+                 io_nodes: Mapping[str, IoNode] = MappingProxyType({}),
+                 edges: Iterable[Edge] = frozenset()):
+        init = object.__setattr__
+        init(self, "kc_nodes", MappingProxyType(dict(kc_nodes)))
+        init(self, "io_nodes", MappingProxyType(dict(io_nodes)))
+        init(self, "edges", frozenset(edges))
+        # Structures derived from the graph and memoized on it by the module
+        # that owns them (the retriever's traversal index, the lexical ranker).
+        init(self, "cache", {})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DependencyGraph:
+            return NotImplemented
+        return (self.kc_nodes == other.kc_nodes and self.io_nodes == other.io_nodes
+                and self.edges == other.edges)
+
+    def _replace(self, **changes: object) -> DependencyGraph:
+        fields = {"kc_nodes": self.kc_nodes, "io_nodes": self.io_nodes, "edges": self.edges}
+        return DependencyGraph(**{**fields, **changes})
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self.kc_nodes or node_id in self.io_nodes
@@ -105,8 +128,7 @@ class DependencyGraph:
         return f"io:{kind}:{label}"
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     """Validation outcome: invariant violations plus one witness CALL
     cycle per strongly connected component that has a cycle, sorted. Each
     witness starts at its component's smallest node id and is written as
@@ -151,7 +173,7 @@ def assemble_raw_graph(fragments: Iterable[TraceFragment], corpus: Corpus) -> De
                 # Same name defined twice in one entry: first definition
                 # wins, later differing bodies are kept as variants.
                 if fn.text != existing.code and fn.text not in existing.variants:
-                    kc_nodes[node_id] = replace(existing, variants=existing.variants + (fn.text,))
+                    kc_nodes[node_id] = existing._replace(variants=existing.variants + (fn.text,))
                 continue
             knowledge = knowledge_map.get(fn.name, "").strip()
             if not knowledge:
@@ -205,12 +227,12 @@ def merge_identical(graph: DependencyGraph) -> DependencyGraph:
         for body in (node.code,) + node.variants:
             if body != canon.code and body not in variants:
                 variants += (body,)
-        merged_kc[canon_id] = replace(canon, origin_entries=origins, knowledge=knowledge,
-                                      variants=variants)
+        merged_kc[canon_id] = canon._replace(origin_entries=origins, knowledge=knowledge,
+                                             variants=variants)
 
     edges = {Edge(redirect.get(edge.src, edge.src), redirect.get(edge.dst, edge.dst), edge.type)
              for edge in graph.edges}
-    return replace(graph, kc_nodes=merged_kc, edges=edges)
+    return graph._replace(kc_nodes=merged_kc, edges=edges)
 
 
 def insert_io_nodes(graph: DependencyGraph, io_specs: Iterable[IoSpec]) -> DependencyGraph:
@@ -239,11 +261,13 @@ def insert_io_nodes(graph: DependencyGraph, io_specs: Iterable[IoSpec]) -> Depen
                     edges.add(Edge(io_id, anchor_id, FEEDS))
                 else:
                     edges.add(Edge(anchor_id, io_id, YIELDS))
-    return replace(graph, io_nodes=io_nodes, edges=edges)
+    return graph._replace(io_nodes=io_nodes, edges=edges)
 
 
 def build_graph(corpus: Corpus) -> DependencyGraph:
     """Full pipeline: parse every entry, assemble, merge, insert I/O nodes."""
+    from .parser import build_trace_fragment  # only a build parses source
+
     fragments = [build_trace_fragment(entry) for entry in corpus.entries]
     raw = assemble_raw_graph(fragments, corpus)
     merged = merge_identical(raw)
@@ -400,13 +424,26 @@ def _json_strings(texts: tuple[str, ...]) -> str:
     return "".join(_json_array(list(map(encode_basestring_ascii, texts)), "      "))
 
 
+# A high surrogate directly followed by a low one. JSON reads the pair back
+# as one character, so a node id holding one would load changed: sorted
+# elsewhere, or equal to another id. No loaded graph holds such an id.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
 def serialize(graph: DependencyGraph) -> str:
     """Canonical graph document: nodes and edges sorted, stable JSON
     layout, so equal graphs serialize to byte-identical text.
 
     The layout is the one `json.dumps(document, indent=2, sort_keys=True)`
     writes, filled in record by record with the `json` module's own
-    ASCII string encoder."""
+    ASCII string encoder.
+
+    A node id that holds a surrogate pair raises SchemaViolation."""
+    ids = [*graph.kc_nodes, *graph.io_nodes]
+    if _SURROGATE_PAIR.search("\0".join(ids)):
+        node_id = next(filter(_SURROGATE_PAIR.search, ids))
+        raise SchemaViolation(f"node id {node_id!r} holds a surrogate pair, "
+                              "which JSON reads back as one character")
     q = encode_basestring_ascii
     kc_nodes = [
         f'{{\n      "code": {q(node.code)},\n'
@@ -454,7 +491,8 @@ def deserialize(document: str) -> DependencyGraph:
 
     Each record is checked inline, in one pass, by the tests `check`
     makes; `check` itself runs only on a record that fails, to raise the
-    message. Any text `json.loads` refuses is a SchemaViolation too."""
+    message. Any text `json.loads` refuses is a SchemaViolation too.
+    Records are made with `tuple.__new__`: `_make` without its arity check."""
     try:
         raw = json.loads(document)
     except (ValueError, RecursionError) as exc:
@@ -477,8 +515,8 @@ def deserialize(document: str) -> DependencyGraph:
                     if type(text) is not str:
                         break
                 else:
-                    kc_nodes[node_id] = KnowledgeCodeNode(node_id, name, code, knowledge,
-                                                          tuple(origins), tuple(variants))
+                    kc_nodes[node_id] = tuple.__new__(KnowledgeCodeNode, (
+                        node_id, name, code, knowledge, tuple(origins), tuple(variants)))
                     continue
         check(record, _KC_FIELDS, f"kc_nodes[{i}]", SchemaViolation)
         raise SchemaViolation(f"kc_nodes[{i}]: origin_entries and variants must hold strings")
@@ -486,10 +524,10 @@ def deserialize(document: str) -> DependencyGraph:
     io_keys = _IO_NODE_FIELDS.keys()
     for i, record in enumerate(raw["io_nodes"]):
         if type(record) is dict and record.keys() == io_keys:
-            node_id, label, kind = _io_node_values(record)
+            values = node_id, label, kind = _io_node_values(record)
             if (type(node_id) is str and type(label) is str and type(kind) is str
                     and (kind == INPUT or kind == OUTPUT)):
-                io_nodes[node_id] = IoNode(node_id, label, kind)
+                io_nodes[node_id] = tuple.__new__(IoNode, values)
                 continue
         check(record, _IO_NODE_FIELDS, f"io_nodes[{i}]", SchemaViolation)
         raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
@@ -507,8 +545,6 @@ def deserialize(document: str) -> DependencyGraph:
             values = src, dst, kind = _edge_values(record)
             if (type(src) is str and type(dst) is str and type(kind) is str
                     and kind in EDGE_TYPES and src in known and dst in known):
-                # `Edge._make` without its Python-level arity check: the
-                # getter always gives three values.
                 edges.append(tuple.__new__(Edge, values))
                 continue
         check(record, _EDGE_FIELDS, f"edges[{i}]", SchemaViolation)

@@ -34,9 +34,9 @@ change, since no simple path leaves those blocks.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from types import SimpleNamespace
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import UnknownNode
 from .graph import CALL, EDGE_TYPES, DependencyGraph, Edge
@@ -52,18 +52,28 @@ _MAX_EXPANSIONS = 100_000
 _EDGE_KINDS = tuple(sorted(EDGE_TYPES))
 
 
-@dataclass(frozen=True)
-class RetrievalLimits:
+class _Limits(NamedTuple):
     max_depth: int = 16
     max_paths: int = 64
 
-    def __post_init__(self) -> None:
-        if min(self.max_depth, self.max_paths) < 1:
+
+class RetrievalLimits(_Limits):
+    """Search limits; a subclass, so that making one checks them."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_depth: int = 16, max_paths: int = 64) -> RetrievalLimits:
+        self = super().__new__(cls, max_depth, max_paths)
+        if min(max_depth, max_paths) < 1:
             raise ValueError(f"retrieval limits must be positive: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> RetrievalLimits:
+        return cls(*iterable)  # so that `_replace` checks the limits too
 
 
-@dataclass(frozen=True)
-class PathEdge:
+class PathEdge(NamedTuple):
     """One traversed edge. `src`/`dst` keep the stored direction;
     `reversed` is True when the step walked the edge backwards."""
 
@@ -73,14 +83,12 @@ class PathEdge:
     reversed: bool
 
 
-@dataclass(frozen=True)
-class DependencyPath:
+class DependencyPath(NamedTuple):
     nodes: tuple[str, ...]
     edges: tuple[PathEdge, ...]
 
 
-@dataclass
-class SearchStats:
+class SearchStats(SimpleNamespace):
     """Search work and why the search stopped.
 
     `nodes_expanded` counts the nodes whose neighbours the depth-first
@@ -95,22 +103,22 @@ class SearchStats:
     `_MAX_EXPANSIONS` expansions, so the paths are a prefix of the full
     answer."""
 
-    nodes_expanded: int = 0
-    paths_found: int = 0
-    truncated_by_paths: bool = False
-    truncated_by_depth: bool = False
-    truncated_by_budget: bool = False
+    def __init__(self, nodes_expanded: int = 0, paths_found: int = 0,
+                 truncated_by_paths: bool = False, truncated_by_depth: bool = False,
+                 truncated_by_budget: bool = False):
+        super().__init__(nodes_expanded=nodes_expanded, paths_found=paths_found,
+                         truncated_by_paths=truncated_by_paths,
+                         truncated_by_depth=truncated_by_depth,
+                         truncated_by_budget=truncated_by_budget)
 
 
-@dataclass
-class RetrievalResult:
+class RetrievalResult(NamedTuple):
     paths: tuple[DependencyPath, ...]
     subgraph_nodes: frozenset[str]
     fallback: bool
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats
 
 
-@dataclass
 class TraversalIndex:
     """Traversal adjacency of one edge set: `moves` maps a node to its
     walkable neighbours, sorted; `preds` maps a node to the nodes that can
@@ -119,10 +127,19 @@ class TraversalIndex:
     retrieval time on the query benchmark. `blocks`, for the block
     filter, is built on first use."""
 
-    edges: frozenset[Edge]
-    moves: dict[str, tuple[str, ...]]
-    preds: dict[str, list[str]]
-    steps: dict[tuple[str, str], PathEdge] = field(default_factory=dict)
+    def __init__(self, edges: frozenset[Edge]):
+        moves: dict[str, list[str]] = defaultdict(list)
+        preds: dict[str, list[str]] = defaultdict(list)
+        for src, dst, kind in edges:
+            moves[src].append(dst)
+            preds[dst].append(src)
+            if kind == CALL:
+                moves[dst].append(src)
+                preds[src].append(dst)
+        self.edges = edges
+        self.moves = {node: tuple(sorted(set(nodes))) for node, nodes in moves.items()}
+        self.preds = dict(preds)
+        self.steps: dict[tuple[str, str], PathEdge] = {}
 
     @cached_property
     def blocks(self) -> BlockTree:
@@ -143,8 +160,7 @@ class TraversalIndex:
         return walked
 
 
-@dataclass(frozen=True)
-class BlockTree:
+class BlockTree(NamedTuple):
     """The biconnected blocks of the undirected graph over interior nodes
     (a move in and a move out), as the block-cut tree rooted at one node
     per connected component. `members` lists each block's nodes with its
@@ -216,27 +232,11 @@ class BlockTree:
         return allowed
 
 
-def _build_index(edges: frozenset[Edge]) -> TraversalIndex:
-    moves: dict[str, list[str]] = defaultdict(list)
-    preds: dict[str, list[str]] = defaultdict(list)
-    for src, dst, kind in edges:
-        moves[src].append(dst)
-        preds[dst].append(src)
-        if kind == CALL:
-            moves[dst].append(src)
-            preds[src].append(dst)
-    return TraversalIndex(
-        edges=edges,
-        moves={node: tuple(sorted(set(nodes))) for node, nodes in moves.items()},
-        preds=dict(preds),
-    )
-
-
 def traversal_index(graph: DependencyGraph) -> TraversalIndex:
     """The graph's traversal index, built on first use."""
     index = graph.cache.get("traversal")
     if index is None:
-        index = graph.cache["traversal"] = _build_index(graph.edges)
+        index = graph.cache["traversal"] = TraversalIndex(graph.edges)
     return index
 
 
@@ -446,16 +446,9 @@ def retrieve(
 
     sources = [graph.io_node_id(label, "input") for label in sorted(tagset.inputs)]
     targets = [graph.io_node_id(label, "output") for label in sorted(tagset.outputs)]
-    paths = find_paths(graph, sources, targets, limits, stats)
-    union: set[str] = set()
-    for path in paths:
-        union.update(path.nodes)
-    return RetrievalResult(
-        paths=tuple(paths),
-        subgraph_nodes=frozenset(union),
-        fallback=False,
-        stats=stats,
-    )
+    paths = tuple(find_paths(graph, sources, targets, limits, stats))
+    subgraph = frozenset().union(*(path.nodes for path in paths))
+    return RetrievalResult(paths=paths, subgraph_nodes=subgraph, fallback=False, stats=stats)
 
 
 def retrieved_kc_names(result: RetrievalResult, graph: DependencyGraph) -> list[str]:

@@ -18,14 +18,13 @@ of trying every pattern longest first, ties lexically, left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .corpus import check, label_tokens, normalize_label, read_json
 from .errors import AliasCollision, SchemaViolation
-from .graph import INPUT, OUTPUT, DependencyGraph
+from .graph import INPUT, OUTPUT, DependencyGraph, _ReadOnly
 
 
 # One kind's compiled matcher: (width, {token tuple: label}) pairs, the
@@ -33,25 +32,23 @@ from .graph import INPUT, OUTPUT, DependencyGraph
 _Tables = tuple[tuple[int, dict[tuple[str, ...], str]], ...]
 
 
-@dataclass(frozen=True)
-class TagVocabulary:
+class TagVocabulary(_ReadOnly):
     """Known labels by kind; each label maps to its (possibly empty)
     tuple of normalized aliases. Both maps are read-only views of private
     copies, and both kinds' matchers are compiled when the vocabulary is
     made."""
 
-    inputs: Mapping[str, tuple[str, ...]]
-    outputs: Mapping[str, tuple[str, ...]]
-    _tables: tuple[_Tables, _Tables] = field(init=False, repr=False, compare=False)
+    __slots__ = ("inputs", "outputs", "_tables")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
-        object.__setattr__(self, "outputs", MappingProxyType(dict(self.outputs)))
-        object.__setattr__(self, "_tables", (_compile(self.inputs), _compile(self.outputs)))
+    def __init__(self, inputs: Mapping[str, tuple[str, ...]],
+                 outputs: Mapping[str, tuple[str, ...]]):
+        init = object.__setattr__
+        init(self, "inputs", MappingProxyType(dict(inputs)))
+        init(self, "outputs", MappingProxyType(dict(outputs)))
+        init(self, "_tables", (_compile(self.inputs), _compile(self.outputs)))
 
 
-@dataclass(frozen=True)
-class TagSet:
+class TagSet(NamedTuple):
     inputs: frozenset[str]
     outputs: frozenset[str]
     fallback: bool

@@ -13,7 +13,6 @@ import random
 import re
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import replace
 from typing import Sequence
 
 from sgkr.baselines import BM25_B, BM25_K1
@@ -271,7 +270,7 @@ def add_malformed_edges(rng: random.Random, graph: DependencyGraph, count: int =
     nodes = sorted([*graph.kc_nodes, *graph.io_nodes])
     added = [Edge(rng.choice(nodes), rng.choice(nodes), rng.choice((CALL, FEEDS, YIELDS)))
              for _ in range(count)]
-    return replace(graph, edges=graph.edges | set(added))
+    return graph._replace(edges=graph.edges | set(added))
 
 
 def oracle_call_cycles(graph: DependencyGraph) -> list[tuple[str, ...]]:

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 from conftest import FEE_NEEDED, FEE_QUESTION, FEE_UNNEEDED, FIXTURE_DIR
 from oracles import oracle_merge, oracle_simple_paths, random_io_graph, random_premerge_graph
@@ -60,7 +59,7 @@ def plant_duplicate(graph: DependencyGraph, rng: random.Random) -> DependencyGra
             knowledge="planted duplicate",
             origin_entries=("extra",),
         )
-        graph = replace(graph, kc_nodes={**graph.kc_nodes, copy.node_id: copy})
+        graph = graph._replace(kc_nodes={**graph.kc_nodes, copy.node_id: copy})
     return graph
 
 

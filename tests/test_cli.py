@@ -397,6 +397,30 @@ class TestInspect:
         assert "positive" in capsys.readouterr().err
 
 
+LIMIT_ERROR = "retrieval limits must be positive: RetrievalLimits(max_depth=0, max_paths=64)"
+
+
+class TestFlagsBeforeFiles:
+    """A bad flag is reported before any file is read, so a missing graph
+    does not hide it."""
+
+    def test_query_limit(self, tmp_path, capsys):
+        code = main(["query", "--graph", str(tmp_path / "ghost.json"), "--question", "x",
+                     "--max-depth", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {LIMIT_ERROR}\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--k", "0"], "baseline budget k must be >= 1"),
+        (["--max-depth", "0"], LIMIT_ERROR),
+    ])
+    def test_eval_flags(self, tmp_path, capsys, flag, message):
+        code = main(["eval", "--graph", str(tmp_path / "ghost.json"),
+                     "--gold", str(tmp_path / "ghost_gold.json"), *flag])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestInputEncoding:
     @pytest.mark.parametrize("flag", ["--graph", "--manifest", "source", "--aliases",
                                       "--gold", "--vectors"])

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -195,6 +194,6 @@ class TestAgainstRetiredAssembly:
         assert names(graph) == ["alpha", "beta"]
         with pytest.raises(AttributeError):
             graph.edges.add(Edge("kc:e:alpha", "kc:e:beta", CALL))
-        called = replace(graph, edges={Edge("kc:e:alpha", "kc:e:beta", CALL)})
+        called = graph._replace(edges={Edge("kc:e:alpha", "kc:e:beta", CALL)})
         assert names(called) == ["beta", "alpha"]
         assert names(graph) == ["alpha", "beta"]

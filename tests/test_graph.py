@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,13 +233,13 @@ class TestValidateGraph:
 
     def test_dangling_edge_flagged(self):
         graph = assemble(make_entry("e1", "def a(x):\n    return x\n"))
-        graph = replace(graph, edges=graph.edges | {Edge(kc_node_id("e1", "a"), "kc:e1:ghost", CALL)})
+        graph = graph._replace(edges=graph.edges | {Edge(kc_node_id("e1", "a"), "kc:e1:ghost", CALL)})
         report = validate_graph(graph)
         assert any("missing node" in v for v in report.violations)
 
     def test_unattached_io_flagged(self):
         graph = assemble(make_entry("e1", "def a(x):\n    return x\n"))
-        graph = replace(graph, io_nodes={"io:input:x": IoNode(node_id="io:input:x", label="x",
+        graph = graph._replace(io_nodes={"io:input:x": IoNode(node_id="io:input:x", label="x",
                                                               kind=INPUT)})
         report = validate_graph(graph)
         assert any("unattached" in v for v in report.violations)
@@ -316,9 +315,9 @@ class TestValidateGraph:
 class TestReadOnly:
     def test_nodes_maps_and_edges_cannot_change(self, fee_graph):
         node_id, node = next(iter(fee_graph.kc_nodes.items()))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             node.knowledge = "changed"
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             fee_graph.edges = frozenset()
         with pytest.raises(TypeError):
             fee_graph.kc_nodes[node_id] = node
@@ -333,7 +332,7 @@ class TestReadOnly:
         kc_nodes.clear()
         assert list(graph.kc_nodes) == ["kc:e:f"]
         graph.cache["memo"] = object()
-        changed = replace(graph, edges={Edge("kc:e:f", "kc:e:f", CALL)})
+        changed = graph._replace(edges={Edge("kc:e:f", "kc:e:f", CALL)})
         assert changed.cache == {} and "memo" in graph.cache
         assert changed.kc_nodes == graph.kc_nodes and graph.edges == frozenset()
 
@@ -444,6 +443,12 @@ def nasty_graphs(draw):
     return DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=edges)
 
 
+def holds_surrogate_pair(text):
+    """Whether a high surrogate directly precedes a low one in `text`."""
+    return any("\ud800" <= high <= "\udbff" and "\udc00" <= low <= "\udfff"
+               for high, low in zip(text, text[1:]))
+
+
 def small_graphs(fee_graph, small_workloads):
     """The fee graph and both small benchmark graphs, by name."""
     graphs = {"fee": fee_graph}
@@ -463,6 +468,10 @@ class TestAgainstOracleWriter:
     @settings(max_examples=100, deadline=None)
     @given(nasty_graphs())
     def test_nasty_text(self, graph):
+        if any(map(holds_surrogate_pair, [*graph.kc_nodes, *graph.io_nodes])):
+            with pytest.raises(SchemaViolation, match="surrogate pair"):
+                serialize(graph)
+            return
         document = serialize(graph)
         assert document == oracle_serialize(graph)
         assert document.isascii()
@@ -470,6 +479,18 @@ class TestAgainstOracleWriter:
         # the document, not the graph, is what must survive a round trip.
         assert deserialize(document) == oracle_deserialize(document)
         assert serialize(deserialize(document)) == document
+
+    @pytest.mark.parametrize("ids", [
+        ("\ud800\udfff", "\udfff"),  # read back, the pair sorts after the other id
+        ("\ud800\udfff", "\U000103ff"),  # read back, the pair is the other id
+    ])
+    def test_id_with_surrogate_pair_refused(self, ids):
+        graph = DependencyGraph(io_nodes={node_id: IoNode(node_id, "x", INPUT) for node_id in ids})
+        with pytest.raises(SchemaViolation, match="surrogate pair"):
+            serialize(graph)
+        kc_graph = DependencyGraph(kc_nodes={ids[0]: KnowledgeCodeNode(ids[0], "f", "c", "k", ())})
+        with pytest.raises(SchemaViolation, match="surrogate pair"):
+            serialize(kc_graph)
 
     def test_lists_of_every_length(self):
         graph = DependencyGraph(kc_nodes={

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,7 +68,7 @@ class TestFindPaths:
         # The input feeds the callee, the caller yields the output: the
         # CALL edge must be walked against its stored direction.
         graph = chain_graph()
-        graph = replace(graph, edges={e for e in graph.edges if e.type == CALL} | {
+        graph = graph._replace(edges={e for e in graph.edges if e.type == CALL} | {
             Edge("io:input:start", "kc:e:f2", FEEDS), Edge("kc:e:f1", "io:output:end", YIELDS)})
         paths = find_paths(graph, ["io:input:start"], ["io:output:end"])
         assert [p.nodes for p in paths] == [
@@ -81,8 +80,7 @@ class TestFindPaths:
 
     def test_disconnected_no_paths(self):
         graph = chain_graph()
-        graph = replace(
-            graph,
+        graph = graph._replace(
             kc_nodes={**graph.kc_nodes, "kc:e:island": KnowledgeCodeNode(
                 node_id="kc:e:island", function_name="island",
                 code="def island():\n    pass", knowledge="island", origin_entries=("e",),
@@ -252,11 +250,11 @@ class TestAgainstRetiredSearch:
         assert [p.nodes for p in retrieve(graph, tags).paths] == one_path
         with pytest.raises(AttributeError):
             graph.edges.add(Edge("io:input:start", "kc:e:f2", FEEDS))
-        widened = replace(graph, edges=graph.edges | {Edge("io:input:start", "kc:e:f2", FEEDS)})
+        widened = graph._replace(edges=graph.edges | {Edge("io:input:start", "kc:e:f2", FEEDS)})
         assert [p.nodes for p in retrieve(widened, tags).paths] == [
             ("io:input:start", "kc:e:f2", "io:output:end"),
         ] + one_path
-        cut = replace(widened, edges=widened.edges - {Edge("kc:e:f2", "io:output:end", YIELDS)})
+        cut = widened._replace(edges=widened.edges - {Edge("kc:e:f2", "io:output:end", YIELDS)})
         assert retrieve(cut, tags).paths == ()
         assert [p.nodes for p in retrieve(graph, tags).paths] == one_path
         assert len(retrieve(widened, tags).paths) == 2
@@ -509,8 +507,7 @@ class TestRetrieve:
 
     def test_two_inputs_sharing_one_output_union_counts_once(self):
         graph = chain_graph()
-        graph = replace(
-            graph,
+        graph = graph._replace(
             io_nodes={**graph.io_nodes,
                       "io:input:alt": IoNode(node_id="io:input:alt", label="alt", kind=INPUT)},
             edges=graph.edges | {Edge("io:input:alt", "kc:e:f2", FEEDS)},
