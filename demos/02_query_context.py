@@ -36,14 +36,15 @@ print(f"  matched outputs: {sorted(tags.outputs)}")
 # Iterative deepening walks CALL edges in both directions (data flows
 # callee -> caller) and I/O attachment edges forwards only; paths come out
 # shortest first. A step that cannot reach an output within the current
-# length is pruned, so the expansion count is the nodes the search
-# actually scanned, summed over the deepening levels. Once a search has
-# expanded as many nodes as the graph has edges (17 here), it confines
-# itself to the biconnected blocks between its input and output and walks
-# the level in progress again; the count includes that second walk.
+# length is pruned, so the expansion count is the nodes whose neighbours
+# the search actually scanned, summed over the deepening levels, and the
+# scan count those neighbours. Once a search has scanned twice as many
+# neighbours as the graph has edges (2 x 17 here), it confines itself to
+# the biconnected blocks between its input and output and walks the level
+# in progress again; the counts include that second walk.
 result = retrieve(graph, tags)
-print(f"\n{len(result.paths)} dependency paths "
-      f"({result.stats.nodes_expanded} expansions):")
+print(f"\n{len(result.paths)} dependency paths ({result.stats.nodes_expanded} expansions, "
+      f"{result.stats.edges_scanned} neighbour scans):")
 for path in result.paths:
     print("  " + " -> ".join(path.nodes))
 print("retrieved functions:", retrieved_kc_names(result, graph))

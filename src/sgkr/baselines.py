@@ -16,19 +16,17 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import check, read_json, read_text
+from .corpus import KEYWORDS, check, read_json, read_text
 from .errors import (
     MissingResult,
     MissingVector,
     SchemaViolation,
     VectorDimensionMismatch,
 )
-from .graph import DependencyGraph, KnowledgeCodeNode
-from .parser import KEYWORDS
+from .graph import DependencyGraph, KnowledgeCodeNode, _ReadOnly
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -166,18 +164,18 @@ def sorted_names(graph: DependencyGraph) -> list[str]:
     return names
 
 
-@dataclass(frozen=True)
-class VectorStore:
+class VectorStore(_ReadOnly):
     """Precomputed vectors keyed by name (function names for nodes, the
-    literal question string for queries), with each vector's norm."""
+    literal question string for queries), with each vector's norm.
+    Read-only once made."""
 
-    dimension: int
-    vectors: dict[str, tuple[float, ...]]
-    _norms: dict[str, float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("dimension", "vectors", "_norms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_norms", {name: _norm(vector)
-                                            for name, vector in self.vectors.items()})
+    def __init__(self, dimension: int, vectors: dict[str, tuple[float, ...]]):
+        init = object.__setattr__
+        init(self, "dimension", dimension)
+        init(self, "vectors", vectors)
+        init(self, "_norms", {name: _norm(vector) for name, vector in vectors.items()})
 
     def get(self, name: str) -> tuple[float, ...]:
         try:
@@ -263,8 +261,7 @@ def retrieve_topk(
     return [name for name, _ in ranked[:k]]
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(NamedTuple):
     question: str
     needed: frozenset[str]
     unneeded: frozenset[str]
@@ -293,8 +290,7 @@ def load_gold(path: str | Path) -> list[GoldAnnotation]:
     return gold
 
 
-@dataclass(frozen=True)
-class RetrievalScore:
+class RetrievalScore(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -320,8 +316,7 @@ def score_retrieval(retrieved: frozenset[str] | set[str], needed: frozenset[str]
     )
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     per_question: tuple[tuple[str, RetrievalScore], ...]
     mean_precision: float
     mean_recall: float

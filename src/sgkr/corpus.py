@@ -63,6 +63,15 @@ def check(record: object, fields: Mapping[str, type | tuple[type, ...]], where: 
     return record
 
 
+# Words of the source grammar that are never function names: the parser
+# reads no call from them, and the lexical baseline drops them from code.
+KEYWORDS = frozenset({
+    "and", "as", "assert", "break", "class", "continue", "def", "del",
+    "elif", "else", "except", "finally", "for", "from", "global", "if",
+    "import", "in", "is", "lambda", "nonlocal", "not", "or", "pass",
+    "raise", "return", "try", "while", "with", "yield",
+})
+
 _PUNCT_RE = re.compile(r"[^\w\s]")
 
 

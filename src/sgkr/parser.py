@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .corpus import CorpusEntry
+from .corpus import KEYWORDS, CorpusEntry
 from .errors import ParseError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -67,14 +67,6 @@ _STRING_TAILS = {q: re.compile(rf"{body}(?:(?P<closed>{q})|\\$)")
                  for q, body in _STRING_BODIES.items()}
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 _NOTHING_TO_CONTINUE = "backslash before a blank line or the end of the input"
-
-KEYWORDS = frozenset({
-    "and", "as", "assert", "break", "class", "continue", "def", "del",
-    "elif", "else", "except", "finally", "for", "from", "global", "if",
-    "import", "in", "is", "lambda", "nonlocal", "not", "or", "pass",
-    "raise", "return", "try", "while", "with", "yield",
-})
-
 
 @dataclass(frozen=True)
 class FunctionDef:

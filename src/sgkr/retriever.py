@@ -15,14 +15,19 @@ nearest target; a step whose depth plus that distance exceeds L is
 pruned. The distance ignores simplicity, so it never overestimates and no
 path is lost; the layers are computed only as far as the current L needs.
 Deepening stops after the first level that pruned nothing, at the path
-cap, or after `_MAX_EXPANSIONS` node expansions. The traversal adjacency
-is built once per graph, which is read-only, as a `TraversalIndex`.
+cap, or when the next expansion would take the search past `_MAX_SCANS`
+neighbour scans. Search work is counted in scans, one per neighbour an
+expansion fetches, because each expansion scans every neighbour of its
+node: a budget of expansions bounds nothing on a node of high degree. The
+traversal adjacency is built once per graph, which is read-only, as a
+`TraversalIndex`.
 
-A search that has expanded as many nodes as the graph has edges confines
-itself to the biconnected blocks between its endpoints (Hopcroft & Tarjan
-1973). Take the undirected graph over the interior nodes, those with a
-move in and a move out: every simple path between two of its nodes stays
-inside the blocks on the block-cut-tree path between them. So the
+A search that has scanned twice as many neighbours as the graph has edges
+(at most half the budget, so the switch comes first on any graph)
+confines itself to the biconnected blocks between its endpoints (Hopcroft
+& Tarjan 1973). Take the undirected graph over the interior nodes, those
+with a move in and a move out: every simple path between two of its nodes
+stays inside the blocks on the block-cut-tree path between them. So the
 distance table is rebuilt over the sources, the targets and the blocks on
 tree paths from a source's successor to a target's predecessor, and the
 level in progress is walked again; the same distance test then prunes
@@ -43,11 +48,13 @@ from .graph import CALL, EDGE_TYPES, DependencyGraph, Edge
 from .tagger import TagSet
 
 
-# Node expansions after which a search stops. It bounds the work of a
-# question on a dense call knot. On the fee corpus and the benchmark
-# workloads the largest count is 10 117, by a `cli` gold question: 10 101
-# expansions (one per edge) before the block filter switches on, 16 after.
-_MAX_EXPANSIONS = 100_000
+# Neighbour scans a search may make; it stops before the expansion that
+# would pass them. It bounds the work of a question on a dense call knot.
+# On the fee corpus and the benchmark workloads (seeds 0-99) the largest
+# count is 46 175, by a `cli` gold question: 19 060 scans before the block
+# filter switches on (its graph has 10 101 edges), the rest within the
+# block of its entry, whose steps share a hub of ~3 000 neighbours.
+_MAX_SCANS = 1_000_000
 
 _EDGE_KINDS = tuple(sorted(EDGE_TYPES))
 
@@ -92,22 +99,23 @@ class SearchStats(SimpleNamespace):
     """Search work and why the search stopped.
 
     `nodes_expanded` counts the nodes whose neighbours the depth-first
-    walks scanned, over every deepening level, a level walked again after
-    the block filter switched on included. `truncated_by_paths`: the path
-    cap was reached while a longer walk or a further path of the same
-    length remained. `truncated_by_depth`: the depth limit may have hidden
-    a longer simple path, i.e. every level up to `max_depth` pruned a step
-    from which a target was reachable, ignoring simplicity; it is never
-    False while such a path exists, unless the path cap or the budget
-    stopped the search. `truncated_by_budget`: the search stopped after
-    `_MAX_EXPANSIONS` expansions, so the paths are a prefix of the full
-    answer."""
+    walks scanned, and `edges_scanned` the neighbours they scanned, one
+    per entry of each expanded node's move list; both run over every
+    deepening level, a level walked again after the block filter switched
+    on included. `truncated_by_paths`: the path cap was reached while a
+    longer walk or a further path of the same length remained.
+    `truncated_by_depth`: the depth limit may have hidden a longer simple
+    path, i.e. every level up to `max_depth` pruned a step from which a
+    target was reachable, ignoring simplicity; it is never False while
+    such a path exists, unless the path cap or the budget stopped the
+    search. `truncated_by_budget`: the next expansion would have passed
+    `_MAX_SCANS` scans, so the paths are a prefix of the full answer."""
 
-    def __init__(self, nodes_expanded: int = 0, paths_found: int = 0,
+    def __init__(self, nodes_expanded: int = 0, edges_scanned: int = 0, paths_found: int = 0,
                  truncated_by_paths: bool = False, truncated_by_depth: bool = False,
                  truncated_by_budget: bool = False):
-        super().__init__(nodes_expanded=nodes_expanded, paths_found=paths_found,
-                         truncated_by_paths=truncated_by_paths,
+        super().__init__(nodes_expanded=nodes_expanded, edges_scanned=edges_scanned,
+                         paths_found=paths_found, truncated_by_paths=truncated_by_paths,
                          truncated_by_depth=truncated_by_depth,
                          truncated_by_budget=truncated_by_budget)
 
@@ -241,13 +249,16 @@ def traversal_index(graph: DependencyGraph) -> TraversalIndex:
 
 
 def _filter_point(index: TraversalIndex) -> float:
-    """Expansions after which a search switches the block filter on: the
-    block pass costs about as much as one expansion per edge."""
-    return len(index.edges)
+    """Scans after which a search switches the block filter on: twice the
+    edge count, at most half the budget, so that the filter switches on
+    before the budget runs out. With the switch at the edge count, most
+    searches of the benchmark's `query` workload would switch it on and
+    walk a level again; at twice the edge count, none does."""
+    return min(2 * len(index.edges), _MAX_SCANS // 2)
 
 
 class _BudgetSpent(Exception):
-    """The search reached `_MAX_EXPANSIONS` expansions."""
+    """The next expansion would have passed `_MAX_SCANS` scans."""
 
 
 class _Confine(Exception):
@@ -262,10 +273,11 @@ class _Search:
         self.moves = index.moves
         self.preds = index.preds
         self.targets = targets
-        self.expanded = 0
-        # Expansions at which `expand` stops the walk: the budget, or
-        # earlier the filter point.
-        self.stop_at = min(_MAX_EXPANSIONS, _filter_point(index))
+        # Work so far; `walks` counts in locals and writes them back.
+        self.expanded = self.scanned = 0
+        # Scans that the walk may not pass: the budget, or earlier the
+        # filter point.
+        self.stop_at = min(_MAX_SCANS, _filter_point(index))
         # The nodes a path may use, once the block filter is on.
         self.allowed: set[str] | None = None
         self.reset()
@@ -289,7 +301,7 @@ class _Search:
         ends = {node for target in self.targets for node in self.preds.get(target, ())}
         self.allowed = self.index.blocks.between(starts, ends)
         self.allowed.update(sources, self.targets)
-        self.stop_at = _MAX_EXPANSIONS
+        self.stop_at = _MAX_SCANS
         self.reset()
 
     def extend(self, reach: float) -> None:
@@ -305,10 +317,10 @@ class _Search:
                         layer.append(pred)
             self.layer = layer
 
-    def expand(self) -> None:
-        if self.expanded >= self.stop_at:
-            raise _BudgetSpent if self.expanded == _MAX_EXPANSIONS else _Confine
-        self.expanded += 1
+    def stop(self, expanded: int, scanned: int) -> None:
+        """Keep the work a walk did, and end it at `stop_at`."""
+        self.expanded, self.scanned = expanded, scanned
+        raise _BudgetSpent if self.stop_at == _MAX_SCANS else _Confine
 
     def walks(self, sources: list[str], length: int, prune: bool = True) -> Iterator[tuple[str, ...]]:
         """Yield, in order, the simple walks of exactly `length` edges from
@@ -317,6 +329,9 @@ class _Search:
         every walk ends at a target, and a walk run to its end records in
         `pruned` whether it skipped one."""
         moves, targets, dist = self.moves, self.targets, self.dist
+        # The work counters are locals, written back before the walk yields
+        # or stops, as its caller may then leave it.
+        expanded, scanned, stop_at = self.expanded, self.scanned, self.stop_at
         unsure = bool(self.layer)  # an unknown distance may still be finite
         pruned = False
         for source in sources:
@@ -325,10 +340,14 @@ class _Search:
                 if gap is None or gap > length:
                     pruned = pruned or gap is not None or unsure
                     continue
-            self.expand()
+            todo = moves.get(source, ())
+            scanned += len(todo)
+            if scanned > stop_at:
+                self.stop(expanded, scanned - len(todo))
+            expanded += 1
             path = [source]
             on_path = {source}
-            stack = [iter(moves.get(source, ()))]
+            stack = [iter(todo)]
             while stack:
                 for neighbor in stack[-1]:
                     if neighbor in on_path:
@@ -340,18 +359,24 @@ class _Search:
                             pruned = pruned or gap is not None or unsure
                             continue
                     if depth == length:
+                        self.expanded, self.scanned = expanded, scanned
                         yield (*path, neighbor)
                         continue
                     if neighbor in targets:
                         continue
-                    self.expand()
+                    todo = moves.get(neighbor, ())
+                    scanned += len(todo)
+                    if scanned > stop_at:
+                        self.stop(expanded, scanned - len(todo))
+                    expanded += 1
                     path.append(neighbor)
                     on_path.add(neighbor)
-                    stack.append(iter(moves.get(neighbor, ())))
+                    stack.append(iter(todo))
                     break
                 else:
                     stack.pop()
                     on_path.discard(path.pop())
+        self.expanded, self.scanned = expanded, scanned
         if prune:
             self.pruned = pruned
 
@@ -393,8 +418,8 @@ def find_paths(
     """All simple paths from any source to any target within the limits.
 
     Returned shortest first; equal-length paths are ordered by node-id
-    sequence. The search stops at `max_paths` paths or `_MAX_EXPANSIONS`
-    expansions and records why on `stats`.
+    sequence. The search stops at `max_paths` paths or at `_MAX_SCANS`
+    neighbour scans and records why on `stats`.
     """
     source_ids = sorted(set(sources))
     target_ids = set(targets)
@@ -426,6 +451,7 @@ def find_paths(
         stats.truncated_by_budget = True
 
     stats.nodes_expanded += search.expanded
+    stats.edges_scanned += search.scanned
     stats.paths_found = len(found)
     return [DependencyPath(nodes=nodes, edges=tuple(index.step(node, neighbor)
                                                     for node, neighbor in zip(nodes, nodes[1:])))

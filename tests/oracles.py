@@ -17,6 +17,7 @@ from typing import Sequence
 
 from sgkr.baselines import BM25_B, BM25_K1
 from sgkr.context import ContextBundle
+from sgkr.corpus import KEYWORDS
 from sgkr.graph import (
     CALL,
     EDGE_TYPES,
@@ -31,7 +32,7 @@ from sgkr.graph import (
     KnowledgeCodeNode,
 )
 from sgkr.errors import FormatVersionMismatch, ParseError, SchemaViolation
-from sgkr.parser import KEYWORDS, FunctionDef
+from sgkr.parser import FunctionDef
 from sgkr.retriever import DependencyPath, PathEdge, RetrievalResult
 from sgkr.tagger import TagSet, TagVocabulary
 

@@ -34,6 +34,7 @@ from sgkr.baselines import (
     sorted_names,
     text_tokens,
 )
+from sgkr.corpus import KEYWORDS
 from sgkr.errors import (
     MissingResult,
     MissingVector,
@@ -41,7 +42,6 @@ from sgkr.errors import (
     VectorDimensionMismatch,
 )
 from sgkr.graph import DependencyGraph, KnowledgeCodeNode
-from sgkr.parser import KEYWORDS
 
 
 def make_node(name, knowledge="", code=None):

@@ -207,7 +207,7 @@ class TestQuery:
         assert capsys.readouterr().out == first
 
     def test_work_budget_note(self, graph_path, capsys, monkeypatch):
-        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 3)
+        monkeypatch.setattr(retriever, "_MAX_SCANS", 3)
         code = main(["query", "--graph", graph_path, "--aliases", ALIASES,
                      "--question", FEE_QUESTION])
         captured = capsys.readouterr()
@@ -299,7 +299,7 @@ class TestEval:
         assert main(argv) == 0
         unbudgeted = capsys.readouterr()
         assert unbudgeted.err == ""
-        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 3)
+        monkeypatch.setattr(retriever, "_MAX_SCANS", 3)
         assert main(argv) == 0
         captured = capsys.readouterr()
         question = json.loads(Path(GOLD).read_text(encoding="utf-8"))[0]["question"]

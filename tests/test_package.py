@@ -12,6 +12,7 @@ import pytest
 
 import sgkr
 from conftest import FEE_QUESTION, FIXTURE_DIR
+from sgkr.baselines import evaluate, load_gold, load_vectors
 from sgkr.context import assemble_context
 from sgkr.graph import DependencyGraph, Edge, KnowledgeCodeNode, serialize, validate_graph
 from sgkr.retriever import RetrievalLimits, retrieve, traversal_index
@@ -34,16 +35,15 @@ class TestLazyPackage:
             sgkr.nonesuch  # noqa: B018
 
 
-def test_cold_query_imports_only_what_it_runs(fee_graph, tmp_path):
-    """A query in a fresh interpreter, started without `site` so that no
-    start-up hook of the machine imports anything first."""
-    document = tmp_path / "fee_graph.json"
-    document.write_text(serialize(fee_graph), encoding="utf-8")
+def cold_imports(argv):
+    """Run `cli.main(argv)` in a fresh interpreter, started without `site`
+    so that no start-up hook of the machine imports anything first. The
+    result line gives the exit code and which of `dataclasses`, `inspect`,
+    `sgkr.baselines` and `sgkr.parser` the command imported."""
     script = (
         "import sys\n"
         "from sgkr import cli\n"
-        f"code = cli.main(['query', '--graph', {str(document)!r}, '--aliases', "
-        f"{str(FIXTURE_DIR / 'aliases.json')!r}, '--question', {FEE_QUESTION!r}])\n"
+        f"code = cli.main({argv!r})\n"
         "print(code, sorted({'dataclasses', 'inspect', 'sgkr.baselines', 'sgkr.parser'}"
         " & sys.modules.keys()))\n"
     )
@@ -52,7 +52,24 @@ def test_cold_query_imports_only_what_it_runs(fee_graph, tmp_path):
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                             text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 []"
+    return result.stdout.splitlines()[-1]
+
+
+def test_cold_query_imports_only_what_it_runs(fee_graph, tmp_path):
+    document = tmp_path / "fee_graph.json"
+    document.write_text(serialize(fee_graph), encoding="utf-8")
+    assert cold_imports(["query", "--graph", str(document), "--aliases",
+                         str(FIXTURE_DIR / "aliases.json"), "--question", FEE_QUESTION]) == "0 []"
+
+
+def test_cold_eval_imports_only_what_it_runs(fee_graph, tmp_path):
+    document = tmp_path / "fee_graph.json"
+    document.write_text(serialize(fee_graph), encoding="utf-8")
+    assert cold_imports([
+        "eval", "--graph", str(document), "--gold", str(FIXTURE_DIR / "gold.json"),
+        "--aliases", str(FIXTURE_DIR / "aliases.json"),
+        "--vectors", str(FIXTURE_DIR / "vectors.txt"), "--methods", "sgkr,lexical,vectors",
+    ]) == "0 ['sgkr.baselines']"
 
 
 def every_record(fee_corpus, fee_graph, fee_vocab):
@@ -60,19 +77,22 @@ def every_record(fee_corpus, fee_graph, fee_vocab):
     tags = extract_tags(FEE_QUESTION, fee_vocab)
     result = retrieve(fee_graph, tags)
     entry = fee_corpus.entries[0]
+    gold = load_gold(FIXTURE_DIR / "gold.json")
+    report = evaluate({annotation.question: frozenset() for annotation in gold}, gold)
     return [
         fee_corpus, entry, entry.io_spec, entry.io_spec.inputs[0],
         fee_graph, next(iter(fee_graph.kc_nodes.values())),
         next(iter(fee_graph.io_nodes.values())), validate_graph(fee_graph),
         fee_vocab, tags, RetrievalLimits(), result, result.paths[0], result.paths[0].edges[0],
         traversal_index(fee_graph).blocks, assemble_context(result, fee_graph),
+        load_vectors(FIXTURE_DIR / "vectors.txt"), gold[0], report, report.per_question[0][1],
     ]
 
 
 class TestReadOnly:
     def test_fields_cannot_be_set_added_or_deleted(self, fee_corpus, fee_graph, fee_vocab):
         records = every_record(fee_corpus, fee_graph, fee_vocab)
-        assert len({type(record).__name__ for record in records}) == 16
+        assert len({type(record).__name__ for record in records}) == 20
         for record in records:
             fields = getattr(record, "_fields", None) or type(record).__slots__
             with pytest.raises(AttributeError):

@@ -213,33 +213,35 @@ class TestAgainstRetiredSearch:
         names = [f"k{i:02d}" for i in range(16)]
         graph = kc_graph(names, list(itertools.permutations(names, 2)),
                          feeds=["k00"], yields=["k15"])
-        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 5_000)
+        monkeypatch.setattr(retriever, "_MAX_SCANS", 75_000)
         limits = RetrievalLimits(max_paths=10**6)
         stats = SearchStats()
         started = time.perf_counter()
         paths = find_paths(graph, ["io:input:in"], ["io:output:out"], limits, stats)
         assert time.perf_counter() - started < 1.0
         assert stats.truncated_by_budget
-        assert stats.nodes_expanded == 5_000
+        # The next expansion, of at most 16 neighbours, would pass the budget.
+        assert 75_000 - 16 < stats.edges_scanned <= 75_000
         assert paths and stats.paths_found == len(paths)
         # What was returned is the start of the full, unbudgeted answer.
         assert paths == find_paths(graph, ["io:input:in"], ["io:output:out"],
                                    RetrievalLimits(max_paths=len(paths)))
 
-    def test_budget_spent_after_exact_cap_counts_as_path_cap(self, monkeypatch):
-        # The one path of three edges fills the cap after three expansions;
-        # the probe for a longer walk then runs out of budget.
+    def test_budget_spent_after_exact_cap_counts_as_path_cap(self, monkeypatch, filter_never):
+        # The one path of three edges fills the cap after 32 scans, of the
+        # input, k00 and k15; the probe for a longer walk then scans the
+        # input and runs out of budget before k00's 15 neighbours.
         names = [f"k{i:02d}" for i in range(16)]
         graph = kc_graph(names, list(itertools.permutations(names, 2)),
                          feeds=["k00"], yields=["k15"])
-        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 5)
+        monkeypatch.setattr(retriever, "_MAX_SCANS", 40)
         stats = SearchStats()
         paths = find_paths(graph, ["io:input:in"], ["io:output:out"],
                            RetrievalLimits(max_paths=1), stats)
         expected, truncated = oracle_bfs_paths(graph, ["io:input:in"], ["io:output:out"], 16, 1)
         assert paths == expected
         assert [p.nodes for p in paths] == [("io:input:in", "k00", "k15", "io:output:out")]
-        assert stats.nodes_expanded == 5
+        assert (stats.nodes_expanded, stats.edges_scanned) == (4, 33)
         assert stats.truncated_by_paths and truncated
         assert not stats.truncated_by_budget
 
@@ -347,7 +349,7 @@ class TestBlockFilter:
         ends = ["io:input:in7"], ["io:output:out7"]
         expected, _ = oracle_bfs_paths(graph, *ends, 16, 64)
         assert [len(path.nodes) for path in expected] == [5, 5, 7, 7]
-        monkeypatch.setattr(retriever, "_MAX_EXPANSIONS", 2_000)
+        monkeypatch.setattr(retriever, "_MAX_SCANS", 5_000)
         with monkeypatch.context() as patch:
             patch.setattr(retriever, "_filter_point", lambda index: float("inf"))
             stats = SearchStats()
@@ -355,8 +357,9 @@ class TestBlockFilter:
             assert stats.truncated_by_budget
         stats = SearchStats()
         assert find_paths(graph, *ends, stats=stats) == expected
-        assert stats == SearchStats(nodes_expanded=stats.nodes_expanded, paths_found=4)
-        assert len(graph.edges) <= stats.nodes_expanded < 2_000
+        assert stats == SearchStats(nodes_expanded=stats.nodes_expanded,
+                                    edges_scanned=stats.edges_scanned, paths_found=4)
+        assert 2 * len(graph.edges) <= stats.edges_scanned < 5_000
 
     def test_chain_hanging_off_the_anchor_is_not_a_depth_truncation(self, filter_never):
         # input -> a -> output, and a 20-node call chain hanging off `a`:
@@ -369,8 +372,8 @@ class TestBlockFilter:
         assert stats.truncated_by_depth and stats.nodes_expanded == 79
 
     def test_chain_hanging_off_the_anchor_with_filter(self):
-        # 22 edges: the search crosses the filter point, and the chain is
-        # no block between the input's successor and the output's
+        # 22 edges: the search crosses the filter point at 44 scans, and the
+        # chain is no block between the input's successor and the output's
         # predecessor.
         chain = ["a"] + [f"c{i:02d}" for i in range(20)]
         graph = kc_graph(chain, list(zip(chain, chain[1:])), feeds=["a"], yields=["a"])
@@ -378,6 +381,7 @@ class TestBlockFilter:
         paths = find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats)
         assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out")]
         assert not stats.truncated_by_depth
+        assert "blocks" in vars(retriever.traversal_index(graph))
 
     @pytest.mark.parametrize("filter_point", [0, None])
     def test_depth_flag_never_misses_a_longer_path(self, monkeypatch, filter_point):
@@ -394,6 +398,72 @@ class TestBlockFilter:
             longest = max(map(len, oracle_simple_paths(graph, sources, targets, 32)), default=0)
             if longest - 1 > max_depth:
                 assert stats.truncated_by_depth
+
+
+def knot_graph(width):
+    """A call knot: `k0` ... `k9`, where each `k_i` calls every `k_j` with
+    j > i and yields `width` outputs of its own, and `a`, which calls `k0`
+    and is the only function between the input and the output."""
+    knot = [f"k{i}" for i in range(10)]
+    graph = kc_graph(knot + ["a"], list(itertools.combinations(knot, 2)) + [("a", "k0")],
+                     feeds=["a"], yields=["a"])
+    own = {f"io:output:{name}o{j}": name for name in knot for j in range(width)}
+    return graph._replace(
+        io_nodes={**graph.io_nodes, **{node_id: IoNode(node_id=node_id, label=node_id[10:],
+                                                       kind=OUTPUT) for node_id in own}},
+        edges=graph.edges | {Edge(name, node_id, YIELDS) for node_id, name in own.items()})
+
+
+class TestSearchWork:
+    """Search work is counted in neighbour scans: the block filter
+    switches on at twice the edge count, and the budget bounds time."""
+
+    def test_knot_finishes_within_a_few_scans_per_edge(self):
+        graph = knot_graph(3_000)
+        assert len(graph.edges) == 30_048
+        stats = SearchStats()
+        paths = find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats)
+        assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out")]
+        assert not (stats.truncated_by_budget or stats.truncated_by_depth)
+        assert stats.edges_scanned <= 3 * len(graph.edges)
+
+    def test_search_under_the_switch_point_builds_no_blocks(self):
+        graph = chain_graph()
+        stats = SearchStats()
+        assert len(find_paths(graph, ["io:input:start"], ["io:output:end"], stats=stats)) == 1
+        assert stats.edges_scanned < 2 * len(graph.edges)
+        assert "blocks" not in vars(retriever.traversal_index(graph))
+
+    def test_filter_switches_on_before_a_budget_below_twice_the_edges(self, monkeypatch):
+        graph = knot_graph(300)
+        monkeypatch.setattr(retriever, "_MAX_SCANS", len(graph.edges))
+        ends = ["io:input:in"], ["io:output:out"]
+        with monkeypatch.context() as patch:
+            patch.setattr(retriever, "_filter_point", lambda index: float("inf"))
+            stats = SearchStats()
+            find_paths(graph, *ends, stats=stats)
+            assert stats.truncated_by_budget
+        stats = SearchStats()
+        paths = find_paths(graph, *ends, stats=stats)
+        assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out")]
+        assert not stats.truncated_by_budget
+        assert stats.edges_scanned <= len(graph.edges)
+        assert "blocks" in vars(retriever.traversal_index(graph))
+
+    def test_scans_are_the_move_counts_of_the_expanded_nodes(self, filter_never):
+        # The input feeds `a` and `b`; `a` yields the output, and so does
+        # `c`, which `b` calls. Level 2 expands the input and `a`; level 3
+        # walks again from the input, through `a` to a dead end at the
+        # output, and through `b` and `c`.
+        graph = kc_graph(["a", "b", "c"], [("b", "c")], feeds=["a", "b"], yields=["a", "c"])
+        stats = SearchStats()
+        paths = find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats)
+        assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out"),
+                                            ("io:input:in", "b", "c", "io:output:out")]
+        moves = retriever.traversal_index(graph).moves
+        expanded = ["io:input:in", "a", "io:input:in", "a", "b", "c"]
+        assert stats.nodes_expanded == len(expanded)
+        assert stats.edges_scanned == sum(len(moves[node]) for node in expanded) == 9
 
 
 def on_path_reference(graph, sources, targets):
