@@ -101,7 +101,7 @@ def cmd_query(args: argparse.Namespace, out) -> int:
         payload["fallback"] = result.fallback
         payload["inputs"] = sorted(tagset.inputs)
         payload["outputs"] = sorted(tagset.outputs)
-        payload["retrieved_kc_count"] = len(retriever.retrieved_kc_names(result, g))
+        payload["retrieved_kc_count"] = len(bundle.knowledge_texts)
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
 

@@ -28,9 +28,9 @@ confines itself to the biconnected blocks between its endpoints (Hopcroft
 & Tarjan 1973). Take the undirected graph over the interior nodes, those
 with a move in and a move out: every simple path between two of its nodes
 stays inside the blocks on the block-cut-tree path between them. So the
-distance table is rebuilt over the sources, the targets and the blocks on
-tree paths from a source's successor to a target's predecessor, and the
-level in progress is walked again; the same distance test then prunes
+distance table is refilled over the sources, the targets and the blocks
+on tree paths from a source's successor to a target's predecessor, and
+the walk goes on from where it is; the same distance test then prunes
 every other node. The blocks are found once per index, in O(V + E), which
 is why cheap searches never pay for them. Paths and their order do not
 change, since no simple path leaves those blocks.
@@ -51,9 +51,9 @@ from .tagger import TagSet
 # Neighbour scans a search may make; it stops before the expansion that
 # would pass them. It bounds the work of a question on a dense call knot.
 # On the fee corpus and the benchmark workloads (seeds 0-99) the largest
-# count is 46 175, by a `cli` gold question: 19 060 scans before the block
-# filter switches on (its graph has 10 101 edges), the rest within the
-# block of its entry, whose steps share a hub of ~3 000 neighbours.
+# count is 40 139, by a `cli` gold question: 22 061 up to the expansion, of
+# a hub of ~3 000 neighbours, at which the block filter switches on (its
+# graph has 10 101 edges), the rest within the block of its entry.
 _MAX_SCANS = 1_000_000
 
 _EDGE_KINDS = tuple(sorted(EDGE_TYPES))
@@ -101,14 +101,15 @@ class SearchStats(SimpleNamespace):
     `nodes_expanded` counts the nodes whose neighbours the depth-first
     walks scanned, and `edges_scanned` the neighbours they scanned, one
     per entry of each expanded node's move list; both run over every
-    deepening level, a level walked again after the block filter switched
-    on included. `truncated_by_paths`: the path cap was reached while a
-    longer walk or a further path of the same length remained.
+    deepening level. `truncated_by_paths`: the path cap was reached while
+    a longer walk or a further path of the same length remained.
     `truncated_by_depth`: the depth limit may have hidden a longer simple
     path, i.e. every level up to `max_depth` pruned a step from which a
     target was reachable, ignoring simplicity; it is never False while
     such a path exists, unless the path cap or the budget stopped the
-    search. `truncated_by_budget`: the next expansion would have passed
+    search; in the level where the block filter switches on, steps pruned
+    before the switch count by their distance in the whole graph.
+    `truncated_by_budget`: the next expansion would have passed
     `_MAX_SCANS` scans, so the paths are a prefix of the full answer."""
 
     def __init__(self, nodes_expanded: int = 0, edges_scanned: int = 0, paths_found: int = 0,
@@ -253,7 +254,7 @@ def _filter_point(index: TraversalIndex) -> float:
     edge count, at most half the budget, so that the filter switches on
     before the budget runs out. With the switch at the edge count, most
     searches of the benchmark's `query` workload would switch it on and
-    walk a level again; at twice the edge count, none does."""
+    pay for its allowed set; at twice the edge count, none does."""
     return min(2 * len(index.edges), _MAX_SCANS // 2)
 
 
@@ -261,17 +262,14 @@ class _BudgetSpent(Exception):
     """The next expansion would have passed `_MAX_SCANS` scans."""
 
 
-class _Confine(Exception):
-    """The search reached its filter point."""
-
-
 class _Search:
     """State shared by the deepening levels of one `find_paths` call."""
 
-    def __init__(self, index: TraversalIndex, targets: set[str]):
+    def __init__(self, index: TraversalIndex, sources: list[str], targets: set[str]):
         self.index = index
         self.moves = index.moves
         self.preds = index.preds
+        self.sources = sources
         self.targets = targets
         # Work so far; `walks` counts in locals and writes them back.
         self.expanded = self.scanned = 0
@@ -280,34 +278,22 @@ class _Search:
         self.stop_at = min(_MAX_SCANS, _filter_point(index))
         # The nodes a path may use, once the block filter is on.
         self.allowed: set[str] | None = None
-        self.reset()
+        # Walk distance to the nearest target, known up to `reach`; `layer`
+        # holds the nodes at distance `reach` and is empty once every node
+        # that reaches a target has its distance. `goal` is the reach the
+        # current level asked for.
+        self.dist = dict.fromkeys(targets, 0)
+        self.layer = list(targets)
+        self.reach = self.goal = 0
         # Set by a level that ran to its end: a step was pruned, or may
         # have been (its distance is not known yet).
         self.pruned = False
 
-    def reset(self) -> None:
-        # Walk distance to the nearest target, known up to `reach`; `layer`
-        # holds the nodes at distance `reach` and is empty once every node
-        # that reaches a target has its distance.
-        self.dist = dict.fromkeys(self.targets, 0)
-        self.layer = list(self.targets)
-        self.reach = 0
-
-    def confine(self, sources: list[str]) -> None:
-        """Switch the block filter on: forget every distance, and give
-        distances from now on only to the nodes of the blocks between a
-        source's successor and a target's predecessor."""
-        starts = {node for source in sources for node in self.moves.get(source, ())}
-        ends = {node for target in self.targets for node in self.preds.get(target, ())}
-        self.allowed = self.index.blocks.between(starts, ends)
-        self.allowed.update(sources, self.targets)
-        self.stop_at = _MAX_SCANS
-        self.reset()
-
-    def extend(self, reach: float) -> None:
-        """Know every distance up to `reach`, one backward layer at a time."""
+    def extend(self, goal: float) -> None:
+        """Know every distance up to `goal`, one backward layer at a time."""
+        self.goal = goal
         dist, preds, allowed = self.dist, self.preds, self.allowed
-        while self.layer and self.reach < reach:
+        while self.layer and self.reach < goal:
             self.reach += 1
             layer = []
             for node in self.layer:
@@ -317,12 +303,26 @@ class _Search:
                         layer.append(pred)
             self.layer = layer
 
-    def stop(self, expanded: int, scanned: int) -> None:
-        """Keep the work a walk did, and end it at `stop_at`."""
-        self.expanded, self.scanned = expanded, scanned
-        raise _BudgetSpent if self.stop_at == _MAX_SCANS else _Confine
+    def stop(self, expanded: int, scanned: int, cost: int) -> tuple[float, bool]:
+        """The walk's exit at `stop_at`, by an expansion of `cost` scans:
+        past the budget, end the search before it. Else switch the block
+        filter on, refilling `dist` in place with the distances within the
+        blocks, and give the walk its new `stop_at` and `unsure`."""
+        if scanned > _MAX_SCANS:
+            self.expanded, self.scanned = expanded, scanned - cost
+            raise _BudgetSpent
+        starts = {node for source in self.sources for node in self.moves.get(source, ())}
+        ends = {node for target in self.targets for node in self.preds.get(target, ())}
+        self.allowed = self.index.blocks.between(starts, ends)
+        self.allowed.update(self.sources, self.targets)
+        self.stop_at = _MAX_SCANS
+        self.dist.clear()
+        self.dist.update(dict.fromkeys(self.targets, 0))
+        self.layer, self.reach = list(self.targets), 0
+        self.extend(self.goal)
+        return self.stop_at, bool(self.layer)
 
-    def walks(self, sources: list[str], length: int, prune: bool = True) -> Iterator[tuple[str, ...]]:
+    def walks(self, length: int, prune: bool = True) -> Iterator[tuple[str, ...]]:
         """Yield, in order, the simple walks of exactly `length` edges from
         a source that touch no target before their last node. With `prune`
         a step whose depth plus distance exceeds `length` is skipped, so
@@ -334,7 +334,7 @@ class _Search:
         expanded, scanned, stop_at = self.expanded, self.scanned, self.stop_at
         unsure = bool(self.layer)  # an unknown distance may still be finite
         pruned = False
-        for source in sources:
+        for source in self.sources:
             if prune:
                 gap = dist.get(source)
                 if gap is None or gap > length:
@@ -343,7 +343,7 @@ class _Search:
             todo = moves.get(source, ())
             scanned += len(todo)
             if scanned > stop_at:
-                self.stop(expanded, scanned - len(todo))
+                stop_at, unsure = self.stop(expanded, scanned, len(todo))
             expanded += 1
             path = [source]
             on_path = {source}
@@ -367,7 +367,7 @@ class _Search:
                     todo = moves.get(neighbor, ())
                     scanned += len(todo)
                     if scanned > stop_at:
-                        self.stop(expanded, scanned - len(todo))
+                        stop_at, unsure = self.stop(expanded, scanned, len(todo))
                     expanded += 1
                     path.append(neighbor)
                     on_path.add(neighbor)
@@ -381,7 +381,7 @@ class _Search:
             self.pruned = pruned
 
 
-def _deepen(search: _Search, sources: list[str], length: int, limits: RetrievalLimits,
+def _deepen(search: _Search, length: int, limits: RetrievalLimits,
             found: list[tuple[str, ...]], stats: SearchStats) -> bool:
     """Add the paths of exactly `length` edges to `found`; True when the
     search is finished, at the path cap or after a level that pruned
@@ -389,7 +389,7 @@ def _deepen(search: _Search, sources: list[str], length: int, limits: RetrievalL
     # The last level needs every distance to tell an unreachable target
     # from one beyond `max_depth`.
     search.extend(length if length < limits.max_depth else float("inf"))
-    for nodes in search.walks(sources, length):
+    for nodes in search.walks(length):
         if len(found) == limits.max_paths:
             stats.truncated_by_paths = True
             return True
@@ -401,7 +401,7 @@ def _deepen(search: _Search, sources: list[str], length: int, limits: RetrievalL
         try:
             stats.truncated_by_paths = any(
                 nodes[-1] not in search.targets
-                for nodes in search.walks(sources, length, prune=False))
+                for nodes in search.walks(length, prune=False))
         except _BudgetSpent:
             stats.truncated_by_paths = True
         return True
@@ -430,20 +430,11 @@ def find_paths(
         stats = SearchStats()
 
     index = traversal_index(graph)
-    search = _Search(index, target_ids)
+    search = _Search(index, source_ids, target_ids)
     found: list[tuple[str, ...]] = []
     try:
         for length in range(1, limits.max_depth + 1):
-            done = len(found)
-            try:
-                finished = _deepen(search, source_ids, length, limits, found, stats)
-            except _Confine:
-                # The filter keeps every path, in the same order: walk this
-                # level again over the blocks between the ends.
-                del found[done:]
-                search.confine(source_ids)
-                finished = _deepen(search, source_ids, length, limits, found, stats)
-            if finished:
+            if _deepen(search, length, limits, found, stats):
                 break
         else:
             stats.truncated_by_depth = True

@@ -220,9 +220,11 @@ def random_premerge_graph(rng: random.Random, max_entries: int = 4, max_funcs: i
     return DependencyGraph(kc_nodes=kc_nodes, edges=edges)
 
 
-def random_io_graph(rng: random.Random, max_kc: int = 8) -> tuple[DependencyGraph, list[str], list[str]]:
-    """A merged-style graph (unique names) with random CALL edges and
-    random I/O attachments; returns (graph, source ids, target ids)."""
+def random_io_graph(rng: random.Random, max_kc: int = 8,
+                    calls: float = 0.25) -> tuple[DependencyGraph, list[str], list[str]]:
+    """A merged-style graph (unique names) with a CALL edge from each
+    function to each other with chance `calls`, and random I/O
+    attachments; returns (graph, source ids, target ids)."""
     kc_nodes: dict[str, KnowledgeCodeNode] = {}
     io_nodes: dict[str, IoNode] = {}
     edges: set[Edge] = set()
@@ -240,7 +242,7 @@ def random_io_graph(rng: random.Random, max_kc: int = 8) -> tuple[DependencyGrap
         )
     for src in kc_ids:
         for dst in kc_ids:
-            if src != dst and rng.random() < 0.25:
+            if src != dst and rng.random() < calls:
                 edges.add(Edge(src, dst, CALL))
 
     # I/O nodes may anchor at several functions (multiple FEEDS/YIELDS),

@@ -191,6 +191,13 @@ class TestQuery:
         assert payload["fallback"] is False
         assert payload["retrieved_kc_count"] == 5
         assert len(payload["functions"]) == 5
+        code = main(["query", "--graph", graph_path, "--question", "blorp zorp",
+                     "--format", "structured"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["fallback"] is True
+        assert payload["retrieved_kc_count"] == 0
+        assert payload["functions"] == []
 
     def test_missing_graph_nonzero(self, tmp_path, capsys):
         code = main(["query", "--graph", str(tmp_path / "ghost.json"),

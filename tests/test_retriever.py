@@ -295,6 +295,11 @@ def filter_from_start(monkeypatch):
     monkeypatch.setattr(retriever, "_filter_point", lambda index: 0)
 
 
+# Scans after which the oracle tests switch the block filter on: before
+# the first expansion, or part-way through a level.
+SWITCH_POINTS = (0, 1, 5, 40)
+
+
 @pytest.fixture()
 def filter_never(monkeypatch):
     monkeypatch.setattr(retriever, "_filter_point", lambda index: float("inf"))
@@ -305,16 +310,17 @@ class TestBlockFilter:
     must give what the unconfined search gives."""
 
     @pytest.mark.parametrize("max_depth, max_paths", [(16, 64), (4, 3), (2, 1), (16, 10**6)])
-    def test_matches_retired_bfs(self, filter_from_start, max_depth, max_paths):
+    def test_matches_retired_bfs(self, monkeypatch, max_depth, max_paths):
         rng = random.Random(8200 + max_depth * 31 + max_paths % 97)
         limits = RetrievalLimits(max_depth=max_depth, max_paths=max_paths)
         for _ in range(1000):
             graph, sources, targets = random_io_graph(rng)
-            stats = SearchStats()
-            got = find_paths(graph, sources, targets, limits, stats)
             expected, truncated = oracle_bfs_paths(graph, sources, targets, max_depth, max_paths)
-            assert got == expected
-            assert stats.truncated_by_paths == truncated
+            for point in SWITCH_POINTS:
+                monkeypatch.setattr(retriever, "_filter_point", lambda index, point=point: point)
+                stats = SearchStats()
+                assert find_paths(graph, sources, targets, limits, stats) == expected
+                assert stats.truncated_by_paths == truncated
 
     def test_matches_retired_bfs_with_malformed_edges(self, filter_from_start):
         rng = random.Random(8301)
@@ -383,7 +389,7 @@ class TestBlockFilter:
         assert not stats.truncated_by_depth
         assert "blocks" in vars(retriever.traversal_index(graph))
 
-    @pytest.mark.parametrize("filter_point", [0, None])
+    @pytest.mark.parametrize("filter_point", [*SWITCH_POINTS, None])
     def test_depth_flag_never_misses_a_longer_path(self, monkeypatch, filter_point):
         if filter_point is not None:
             monkeypatch.setattr(retriever, "_filter_point", lambda index: filter_point)
@@ -464,6 +470,27 @@ class TestSearchWork:
         expanded = ["io:input:in", "a", "io:input:in", "a", "b", "c"]
         assert stats.nodes_expanded == len(expanded)
         assert stats.edges_scanned == sum(len(moves[node]) for node in expanded) == 9
+
+    def test_budget_holds_across_the_switch(self, monkeypatch):
+        # Small call knots, with the budget at most one expansion past the
+        # filter point: the expansion that reaches the filter point may
+        # pass the budget too, and then the search stops before it.
+        rng = random.Random(8605)
+        for case in range(3000):
+            graph, sources, targets = random_io_graph(rng, max_kc=6, calls=0.6)
+            point = rng.randint(1, 40)
+            budget = point + rng.randint(0, 6)
+            monkeypatch.setattr(retriever, "_filter_point", lambda index, point=point: point)
+            monkeypatch.setattr(retriever, "_MAX_SCANS", budget)
+            max_depth, max_paths = [(16, 10**6), (4, 3), (16, 64)][case % 3]
+            stats = SearchStats()
+            got = find_paths(graph, sources, targets, RetrievalLimits(max_depth, max_paths), stats)
+            assert stats.edges_scanned <= budget
+            expected, _ = oracle_bfs_paths(graph, sources, targets, max_depth, max_paths)
+            if stats.truncated_by_budget:
+                assert got == expected[:len(got)]
+            else:
+                assert got == expected
 
 
 def on_path_reference(graph, sources, targets):
