@@ -8,10 +8,10 @@ The order is Kahn's algorithm over the CALL edges inside the subgraph,
 with a heap keyed (function name, node id): of the nodes whose callees
 are all placed, the smallest comes next. When none is ready (a recursive
 knot, or a function that calls itself) the smallest remaining node comes
-next, its callees placed or not. The edges are read from the subgraph
-nodes' neighbours in the graph's memoized traversal index, so the order
-costs time in the subgraph and its neighbourhood, not in the graph's
-edges.
+next, its callees placed or not. Each subgraph node's callees come from
+the `callees` memo of the graph's traversal index, filled on the node's
+first use, so the order costs time in the subgraph and its
+neighbourhood, not in the graph's edges.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .graph import CALL, DependencyGraph
+from .graph import DependencyGraph
 from .retriever import DependencyPath, RetrievalResult, traversal_index
 
 KNOWLEDGE_HEADER = "Following domain knowledge and context should be helpful:"
@@ -42,16 +42,16 @@ def _topological_order(result: RetrievalResult, graph: DependencyGraph) -> list[
     kc_nodes = graph.kc_nodes
     keys = {nid: (kc_nodes[nid].function_name, nid)
             for nid in result.subgraph_nodes if nid in kc_nodes}
-    index = traversal_index(graph)
+    callees = traversal_index(graph).callees
 
     # Pending callee count per node, over CALL edges inside the subgraph.
     pending = dict.fromkeys(keys, 0)
     callers: dict[str, list[str]] = {nid: [] for nid in keys}
     for nid in keys:
-        for neighbor in index.moves.get(nid, ()):
-            if neighbor in keys and (nid, neighbor, CALL) in index.edges:
+        for callee in callees[nid]:
+            if callee in keys:
                 pending[nid] += 1
-                callers[neighbor].append(nid)
+                callers[callee].append(nid)
 
     ready = [keys[nid] for nid, count in pending.items() if count == 0]
     heapq.heapify(ready)

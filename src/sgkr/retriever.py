@@ -29,19 +29,20 @@ confines itself to the biconnected blocks between its endpoints (Hopcroft
 with a move in and a move out: every simple path between two of its nodes
 stays inside the blocks on the block-cut-tree path between them. So the
 distance table is refilled over the sources, the targets and the blocks
-on tree paths from a source's successor to a target's predecessor, and
-the walk goes on from where it is; the same distance test then prunes
-every other node. The blocks are found once per index, in O(V + E), which
-is why cheap searches never pay for them. Paths and their order do not
+on tree paths from a source's successor to a target's predecessor, their
+move lists are cut to that set, and the walk goes on from where it is;
+the same distance test then prunes every other node that a walk begun
+before the switch still scans. The blocks are found once per index, in
+O(V + E), which is why cheap searches never pay for them. Paths and their order do not
 change, since no simple path leaves those blocks.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import UnknownNode
 from .graph import CALL, EDGE_TYPES, DependencyGraph, Edge
@@ -51,9 +52,10 @@ from .tagger import TagSet
 # Neighbour scans a search may make; it stops before the expansion that
 # would pass them. It bounds the work of a question on a dense call knot.
 # On the fee corpus and the benchmark workloads (seeds 0-99) the largest
-# count is 40 139, by a `cli` gold question: 22 061 up to the expansion, of
+# count is 22 145, by a `cli` gold question: 22 061 up to the expansion, of
 # a hub of ~3 000 neighbours, at which the block filter switches on (its
-# graph has 10 101 edges), the rest within the block of its entry.
+# graph has 10 101 edges), the rest over move lists cut to its entry's
+# block.
 _MAX_SCANS = 1_000_000
 
 _EDGE_KINDS = tuple(sorted(EDGE_TYPES))
@@ -100,9 +102,10 @@ class SearchStats(SimpleNamespace):
 
     `nodes_expanded` counts the nodes whose neighbours the depth-first
     walks scanned, and `edges_scanned` the neighbours they scanned, one
-    per entry of each expanded node's move list; both run over every
-    deepening level. `truncated_by_paths`: the path cap was reached while
-    a longer walk or a further path of the same length remained.
+    per entry of each expanded node's move list (cut to the allowed nodes
+    once the block filter is on); both run over every deepening level.
+    `truncated_by_paths`: the path cap was reached while a longer walk or
+    a further path of the same length remained.
     `truncated_by_depth`: the depth limit may have hidden a longer simple
     path, i.e. every level up to `max_depth` pruned a step from which a
     target was reachable, ignoring simplicity; it is never False while
@@ -128,13 +131,44 @@ class RetrievalResult(NamedTuple):
     stats: SearchStats
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with `compute(key)`, once."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _walked_edge(edges: frozenset[Edge], step: tuple[str, str]) -> PathEdge:
+    """The edge a step walks: a stored edge from its node to its neighbour
+    (the smallest type), else a CALL edge walked backwards."""
+    node, neighbor = step
+    for kind in _EDGE_KINDS:
+        if (node, neighbor, kind) in edges:
+            return PathEdge(src=node, dst=neighbor, type=kind, reversed=False)
+    return PathEdge(src=neighbor, dst=node, type=CALL, reversed=True)
+
+
+def _callees(moves: dict[str, tuple[str, ...]], edges: frozenset[Edge],
+             node: str) -> tuple[str, ...]:
+    """The neighbours `node` reaches by a stored CALL edge, in move order."""
+    return tuple(neighbor for neighbor in moves.get(node, ())
+                 if (node, neighbor, CALL) in edges)
+
+
 class TraversalIndex:
     """Traversal adjacency of one edge set: `moves` maps a node to its
     walkable neighbours, sorted; `preds` maps a node to the nodes that can
-    step onto it. `steps` remembers the `PathEdge` of each step a returned
-    path has used: building them anew made up half of a question's
-    retrieval time on the query benchmark. `blocks`, for the block
-    filter, is built on first use."""
+    step onto it. Two memos fill in on first use: `steps` maps a step
+    (node, neighbour) to its `PathEdge`, and `callees` maps a node to the
+    neighbours it calls. They hold the edges and moves, never the index,
+    so that dropping the graph frees the index without the collector.
+    `blocks`, for the block filter, is built on first use."""
 
     def __init__(self, edges: frozenset[Edge]):
         moves: dict[str, list[str]] = defaultdict(list)
@@ -148,25 +182,12 @@ class TraversalIndex:
         self.edges = edges
         self.moves = {node: tuple(sorted(set(nodes))) for node, nodes in moves.items()}
         self.preds = dict(preds)
-        self.steps: dict[tuple[str, str], PathEdge] = {}
+        self.steps: dict[tuple[str, str], PathEdge] = _Memo(partial(_walked_edge, edges))
+        self.callees: dict[str, tuple[str, ...]] = _Memo(partial(_callees, self.moves, edges))
 
     @cached_property
     def blocks(self) -> BlockTree:
         return BlockTree.build(self.moves, self.preds)
-
-    def step(self, node: str, neighbor: str) -> PathEdge:
-        """The edge a step walks: a stored edge from `node` to `neighbor`
-        (the smallest type), else a CALL edge walked backwards."""
-        walked = self.steps.get((node, neighbor))
-        if walked is None:
-            for kind in _EDGE_KINDS:
-                if (node, neighbor, kind) in self.edges:
-                    walked = PathEdge(src=node, dst=neighbor, type=kind, reversed=False)
-                    break
-            else:
-                walked = PathEdge(src=neighbor, dst=node, type=CALL, reversed=True)
-            self.steps[node, neighbor] = walked
-        return walked
 
 
 class BlockTree(NamedTuple):
@@ -267,6 +288,8 @@ class _Search:
 
     def __init__(self, index: TraversalIndex, sources: list[str], targets: set[str]):
         self.index = index
+        # The pruned walk's move lists: the index's, cut to the allowed
+        # nodes once the block filter is on.
         self.moves = index.moves
         self.preds = index.preds
         self.sources = sources
@@ -307,14 +330,18 @@ class _Search:
         """The walk's exit at `stop_at`, by an expansion of `cost` scans:
         past the budget, end the search before it. Else switch the block
         filter on, refilling `dist` in place with the distances within the
-        blocks, and give the walk its new `stop_at` and `unsure`."""
+        blocks and cutting `moves` to the allowed nodes, and give the walk
+        its new `stop_at` and `unsure`."""
         if scanned > _MAX_SCANS:
             self.expanded, self.scanned = expanded, scanned - cost
             raise _BudgetSpent
-        starts = {node for source in self.sources for node in self.moves.get(source, ())}
+        moves = self.index.moves
+        starts = {node for source in self.sources for node in moves.get(source, ())}
         ends = {node for target in self.targets for node in self.preds.get(target, ())}
-        self.allowed = self.index.blocks.between(starts, ends)
-        self.allowed.update(self.sources, self.targets)
+        allowed = self.allowed = self.index.blocks.between(starts, ends)
+        allowed.update(self.sources, self.targets)
+        self.moves = {node: tuple(filter(allowed.__contains__, moves[node]))
+                      for node in allowed & moves.keys()}
         self.stop_at = _MAX_SCANS
         self.dist.clear()
         self.dist.update(dict.fromkeys(self.targets, 0))
@@ -327,8 +354,10 @@ class _Search:
         a source that touch no target before their last node. With `prune`
         a step whose depth plus distance exceeds `length` is skipped, so
         every walk ends at a target, and a walk run to its end records in
-        `pruned` whether it skipped one."""
-        moves, targets, dist = self.moves, self.targets, self.dist
+        `pruned` whether it skipped one. Without it the walk keeps every
+        move, block filter or not."""
+        moves = self.moves if prune else self.index.moves
+        targets, dist = self.targets, self.dist
         # The work counters are locals, written back before the walk yields
         # or stops, as its caller may then leave it.
         expanded, scanned, stop_at = self.expanded, self.scanned, self.stop_at
@@ -344,21 +373,24 @@ class _Search:
             scanned += len(todo)
             if scanned > stop_at:
                 stop_at, unsure = self.stop(expanded, scanned, len(todo))
+                if prune:
+                    moves = self.moves
             expanded += 1
             path = [source]
             on_path = {source}
             stack = [iter(todo)]
             while stack:
+                # Edges a walk has left after its step from the path's end.
+                room = length - len(path)
                 for neighbor in stack[-1]:
                     if neighbor in on_path:
                         continue
-                    depth = len(path)
                     if prune:
                         gap = dist.get(neighbor)
-                        if gap is None or depth + gap > length:
+                        if gap is None or gap > room:
                             pruned = pruned or gap is not None or unsure
                             continue
-                    if depth == length:
+                    if not room:
                         self.expanded, self.scanned = expanded, scanned
                         yield (*path, neighbor)
                         continue
@@ -368,6 +400,8 @@ class _Search:
                     scanned += len(todo)
                     if scanned > stop_at:
                         stop_at, unsure = self.stop(expanded, scanned, len(todo))
+                        if prune:
+                            moves = self.moves
                     expanded += 1
                     path.append(neighbor)
                     on_path.add(neighbor)
@@ -444,8 +478,8 @@ def find_paths(
     stats.nodes_expanded += search.expanded
     stats.edges_scanned += search.scanned
     stats.paths_found = len(found)
-    return [DependencyPath(nodes=nodes, edges=tuple(index.step(node, neighbor)
-                                                    for node, neighbor in zip(nodes, nodes[1:])))
+    step = index.steps.__getitem__
+    return [tuple.__new__(DependencyPath, (nodes, tuple(map(step, zip(nodes, nodes[1:])))))
             for nodes in found]
 
 

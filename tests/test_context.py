@@ -16,9 +16,10 @@ from sgkr.context import (
     render_prompt_block,
 )
 from sgkr.graph import (
-    CALL, FEEDS, INPUT, OUTPUT, YIELDS, DependencyGraph, Edge, IoNode, KnowledgeCodeNode,
+    CALL, FEEDS, INPUT, OUTPUT, YIELDS, DependencyGraph, Edge, IoNode,
+    KnowledgeCodeNode, deserialize, serialize,
 )
-from sgkr.retriever import RetrievalResult, SearchStats, retrieve
+from sgkr.retriever import PathEdge, RetrievalResult, SearchStats, find_paths, retrieve
 from sgkr.tagger import extract_tags
 
 
@@ -143,6 +144,76 @@ def knotted_graph(rng):
     subgraph = frozenset(rng.sample(every, rng.randint(0, len(every))))
     return graph, RetrievalResult(paths=(), subgraph_nodes=subgraph, fallback=False,
                                   stats=SearchStats())
+
+
+def tangled_graph(rng):
+    """A document read back by `deserialize` whose functions include a
+    pair joined by both a CALL and a FEEDS edge, a pair that call each
+    other and a function that calls itself, among random CALL, FEEDS and
+    YIELDS edges between functions; returns the graph, its inputs and its
+    outputs."""
+    ids = [f"kc:e{i}:n{i}" for i in range(rng.randint(4, 9))]
+    kc_nodes = {}
+    for node_id in ids:
+        name = rng.choice(("alpha", "beta", "gamma", "delta", "eps", "zeta"))
+        kc_nodes[node_id] = KnowledgeCodeNode(
+            node_id=node_id, function_name=name, code=f"def {name}():\n    pass  # {node_id}",
+            knowledge=f"{name} as in {node_id}", origin_entries=("e",))
+    caller, callee, other, knot = rng.sample(ids, 4)
+    edges = {Edge(caller, callee, CALL), Edge(caller, callee, FEEDS),
+             Edge(callee, other, CALL), Edge(other, callee, CALL), Edge(knot, knot, CALL)}
+    density = rng.choice((0.1, 0.2, 0.35))
+    edges |= {Edge(src, dst, rng.choice((CALL, CALL, FEEDS, YIELDS)))
+              for src in ids for dst in ids if rng.random() < density}
+    io_nodes = {}
+    for kind, edge_type in ((INPUT, FEEDS), (OUTPUT, YIELDS)):
+        for label in ("x", "y")[:rng.randint(1, 2)]:
+            node_id = f"io:{kind}:{label}"
+            io_nodes[node_id] = IoNode(node_id=node_id, label=label, kind=kind)
+            for anchor in rng.sample(ids, rng.randint(1, 3)):
+                edges.add(Edge(*((node_id, anchor) if kind == INPUT else (anchor, node_id)),
+                               edge_type))
+    graph = deserialize(serialize(DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes,
+                                                  edges=edges)))
+    return (graph, sorted(n for n in io_nodes if n.startswith(f"io:{INPUT}:")),
+            sorted(n for n in io_nodes if n.startswith(f"io:{OUTPUT}:")))
+
+
+def retired_path_edge(graph, node, neighbor):
+    """The edge a step walks, read straight from the graph's edges: the
+    stored edge from `node` to `neighbor` of the smallest type, else the
+    CALL edge from `neighbor` to `node`, walked backwards."""
+    kinds = sorted(edge.type for edge in graph.edges if (edge.src, edge.dst) == (node, neighbor))
+    if kinds:
+        return PathEdge(src=node, dst=neighbor, type=kinds[0], reversed=False)
+    assert Edge(neighbor, node, CALL) in graph.edges
+    return PathEdge(src=neighbor, dst=node, type=CALL, reversed=True)
+
+
+class TestParallelEdges:
+    """Steps and the context order where a pair of functions is joined by
+    two edge types, two functions call each other and one calls itself."""
+
+    def test_path_edges_and_order(self):
+        rng = random.Random(1985)
+        parallel = 0
+        for _ in range(400):
+            graph, sources, targets = tangled_graph(rng)
+            pairs = Counter((edge.src, edge.dst) for edge in graph.edges)
+            assert max(pairs.values()) > 1
+            paths = find_paths(graph, sources, targets)
+            for path in paths:
+                assert path.edges == tuple(
+                    retired_path_edge(graph, node, neighbor)
+                    for node, neighbor in zip(path.nodes, path.nodes[1:]))
+                parallel += any(pairs[edge.src, edge.dst] > 1 for edge in path.edges)
+            subgraph = frozenset().union(*(path.nodes for path in paths))
+            for nodes in (subgraph, frozenset(graph.kc_nodes)):
+                result = RetrievalResult(paths=tuple(paths), subgraph_nodes=nodes,
+                                         fallback=False, stats=SearchStats())
+                assert [name for name, _ in assemble_context(result, graph).knowledge_texts] \
+                    == oracle_topological_names(result, graph)
+        assert parallel  # some path stepped along a pair with two edges
 
 
 class TestAgainstRetiredAssembly:

@@ -14,7 +14,7 @@ from sgkr import extract_tags, retrieve
 # means to move them.
 RECORDED = {
     "query": (2814, 7306, 273, 504),
-    "cli": (5291, 43560, 648, 155),
+    "cli": (5291, 22022, 648, 155),
 }
 
 

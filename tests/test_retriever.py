@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FEE_NEEDED, FEE_QUESTION, FEE_UNNEEDED
 from oracles import add_malformed_edges, oracle_bfs_paths, oracle_simple_paths, random_io_graph
 from sgkr import retriever
+from sgkr.context import assemble_context
 from sgkr.errors import UnknownNode
 from sgkr.graph import (
     CALL,
@@ -21,6 +24,7 @@ from sgkr.graph import (
     Edge,
     IoNode,
     KnowledgeCodeNode,
+    build_graph,
     serialize,
     validate_graph,
 )
@@ -635,3 +639,22 @@ class TestRetrieve:
         assert result.stats.paths_found == len(result.paths) == 3
         assert result.stats.nodes_expanded > 0
         assert not result.stats.truncated_by_paths
+
+    def test_index_is_freed_with_its_graph(self, fee_corpus, fee_vocab):
+        # The index's memos hold its edges and moves, not the index, so
+        # dropping the graph frees the index without the collector.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            graph = build_graph(fee_corpus)
+            result = retrieve(graph, extract_tags(FEE_QUESTION, fee_vocab))
+            assert assemble_context(result, graph).knowledge_texts
+            index = retriever.traversal_index(graph)
+            assert index.blocks.members
+            assert index.steps and index.callees
+            freed = weakref.ref(index)
+            del graph, result, index
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
