@@ -40,8 +40,8 @@ print(f"  matched outputs: {sorted(tags.outputs)}")
 # the search actually scanned, summed over the deepening levels, and the
 # scan count those neighbours. Once a search has scanned twice as many
 # neighbours as the graph has edges (2 x 17 here), it confines itself to
-# the biconnected blocks between its input and output and walks the level
-# in progress again; the counts include that second walk.
+# the biconnected blocks between its input and output: its walk goes on
+# from where it is, over move lists cut to those blocks.
 result = retrieve(graph, tags)
 print(f"\n{len(result.paths)} dependency paths ({result.stats.nodes_expanded} expansions, "
       f"{result.stats.edges_scanned} neighbour scans):")

@@ -19,7 +19,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import KEYWORDS, check, read_json, read_text
+from .corpus import KEYWORDS, _WORDS, _WordTable, check, read_json, read_text
 from .errors import (
     MissingResult,
     MissingVector,
@@ -32,26 +32,6 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 
-class _WordTable(dict):
-    """A `str.translate` table that keeps the characters `\\w` matches
-    (`str.isalnum()` ones, and `_` as the table is told) and maps every
-    other code point to a space, so translating and then `str.split()`
-    gives the runs `\\w+` finds. A code point is classified when it is
-    looked up, which covers all of Unicode, and remembered if it lies in
-    the Basic Multilingual Plane, so the table holds at most 65 536
-    entries whatever the input."""
-
-    def __init__(self, underscore: str):
-        super().__init__({ord("_"): underscore})
-
-    def __missing__(self, code_point: int) -> int | str:
-        value = code_point if chr(code_point).isalnum() else " "
-        if code_point <= 0xFFFF:
-            self[code_point] = value
-        return value
-
-
-_WORDS = _WordTable(underscore="_")
 _WORD_PARTS = _WordTable(underscore=" ")
 
 

@@ -14,7 +14,6 @@ their records.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -72,7 +71,27 @@ KEYWORDS = frozenset({
     "raise", "return", "try", "while", "with", "yield",
 })
 
-_PUNCT_RE = re.compile(r"[^\w\s]")
+
+class _WordTable(dict):
+    """A `str.translate` table that keeps the characters `\\w` matches
+    (`str.isalnum()` ones, and `_` as the table is told) and maps every
+    other code point to a space, so translating and then `str.split()`
+    gives the runs `\\w+` finds. A code point is classified when it is
+    looked up, which covers all of Unicode, and remembered if it lies in
+    the Basic Multilingual Plane, so the table holds at most 65 536
+    entries whatever the input."""
+
+    def __init__(self, underscore: str):
+        super().__init__({ord("_"): underscore})
+
+    def __missing__(self, code_point: int) -> int | str:
+        value = code_point if chr(code_point).isalnum() else " "
+        if code_point <= 0xFFFF:
+            self[code_point] = value
+        return value
+
+
+_WORDS = _WordTable(underscore="_")
 
 
 def normalize_label(text: str) -> str:
@@ -83,9 +102,9 @@ def normalize_label(text: str) -> str:
 
 
 def label_tokens(text: str) -> tuple[str, ...]:
-    """Token sequence of a label or question: lowercased, punctuation
-    made a separator, split on runs of whitespace."""
-    return tuple(_PUNCT_RE.sub(" ", text.lower()).split())
+    """Token sequence of a label or question: lowercased, split on runs of
+    the characters that are not word characters (punctuation, whitespace)."""
+    return tuple(text.lower().translate(_WORDS).split())
 
 
 class IoDecl(NamedTuple):

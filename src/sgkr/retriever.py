@@ -4,7 +4,7 @@ Traversal rules: CALL edges may be walked in either direction (a caller
 and its callee depend on each other's knowledge), FEEDS and YIELDS edges
 only in their stored direction. Paths are simple (no repeated node), so
 recursive call cycles terminate, and a path ends at the first target it
-reaches.
+reaches: a source that is also a target starts no path.
 
 The search is iterative deepening (Korf 1985). For each length L = 1, 2,
 ..., `max_depth` a depth-first walk from the sorted sources over sorted
@@ -29,11 +29,11 @@ confines itself to the biconnected blocks between its endpoints (Hopcroft
 with a move in and a move out: every simple path between two of its nodes
 stays inside the blocks on the block-cut-tree path between them. So the
 distance table is refilled over the sources, the targets and the blocks
-on tree paths from a source's successor to a target's predecessor, their
-move lists are cut to that set, and the walk goes on from where it is;
-the same distance test then prunes every other node that a walk begun
-before the switch still scans. The blocks are found once per index, in
-O(V + E), which is why cheap searches never pay for them. Paths and their order do not
+on tree paths from a source's successor to a target's predecessor, the
+adjacency is cut to that set, and the walk goes on from where it is; the
+same distance test then prunes every other node that a walk begun before
+the switch still scans. The blocks are found once per index, in O(V + E),
+so cheap searches never pay for them. Paths and their order do not
 change, since no simple path leaves those blocks.
 """
 
@@ -288,7 +288,7 @@ class _Search:
 
     def __init__(self, index: TraversalIndex, sources: list[str], targets: set[str]):
         self.index = index
-        # The pruned walk's move lists: the index's, cut to the allowed
+        # The pruned walk's adjacency: the index's, cut to the allowed
         # nodes once the block filter is on.
         self.moves = index.moves
         self.preds = index.preds
@@ -299,8 +299,6 @@ class _Search:
         # Scans that the walk may not pass: the budget, or earlier the
         # filter point.
         self.stop_at = min(_MAX_SCANS, _filter_point(index))
-        # The nodes a path may use, once the block filter is on.
-        self.allowed: set[str] | None = None
         # Walk distance to the nearest target, known up to `reach`; `layer`
         # holds the nodes at distance `reach` and is empty once every node
         # that reaches a target has its distance. `goal` is the reach the
@@ -315,33 +313,34 @@ class _Search:
     def extend(self, goal: float) -> None:
         """Know every distance up to `goal`, one backward layer at a time."""
         self.goal = goal
-        dist, preds, allowed = self.dist, self.preds, self.allowed
+        dist, preds = self.dist, self.preds
         while self.layer and self.reach < goal:
             self.reach += 1
             layer = []
             for node in self.layer:
                 for pred in preds.get(node, ()):
-                    if pred not in dist and (allowed is None or pred in allowed):
+                    if pred not in dist:
                         dist[pred] = self.reach
                         layer.append(pred)
             self.layer = layer
 
-    def stop(self, expanded: int, scanned: int, cost: int) -> tuple[float, bool]:
-        """The walk's exit at `stop_at`, by an expansion of `cost` scans:
-        past the budget, end the search before it. Else switch the block
-        filter on, refilling `dist` in place with the distances within the
-        blocks and cutting `moves` to the allowed nodes, and give the walk
-        its new `stop_at` and `unsure`."""
+    def stop(self, scanned: int) -> tuple[float, bool]:
+        """The walk's exit at an expansion that would pass `stop_at`, to
+        `scanned` scans: past the budget, end the search before it. Else
+        switch the block filter on, cutting `moves` and `preds` to the
+        allowed nodes and refilling `dist` in place with the distances
+        within the blocks, and give the walk its new `stop_at` and `unsure`."""
         if scanned > _MAX_SCANS:
-            self.expanded, self.scanned = expanded, scanned - cost
             raise _BudgetSpent
-        moves = self.index.moves
+        moves, preds = self.index.moves, self.index.preds
         starts = {node for source in self.sources for node in moves.get(source, ())}
-        ends = {node for target in self.targets for node in self.preds.get(target, ())}
-        allowed = self.allowed = self.index.blocks.between(starts, ends)
+        ends = {node for target in self.targets for node in preds.get(target, ())}
+        allowed = self.index.blocks.between(starts, ends)
         allowed.update(self.sources, self.targets)
         self.moves = {node: tuple(filter(allowed.__contains__, moves[node]))
                       for node in allowed & moves.keys()}
+        self.preds = {node: tuple(filter(allowed.__contains__, preds[node]))
+                      for node in allowed & preds.keys()}
         self.stop_at = _MAX_SCANS
         self.dist.clear()
         self.dist.update(dict.fromkeys(self.targets, 0))
@@ -358,27 +357,15 @@ class _Search:
         move, block filter or not."""
         moves = self.moves if prune else self.index.moves
         targets, dist = self.targets, self.dist
-        # The work counters are locals, written back before the walk yields
-        # or stops, as its caller may then leave it.
         expanded, scanned, stop_at = self.expanded, self.scanned, self.stop_at
         unsure = bool(self.layer)  # an unknown distance may still be finite
         pruned = False
-        for source in self.sources:
-            if prune:
-                gap = dist.get(source)
-                if gap is None or gap > length:
-                    pruned = pruned or gap is not None or unsure
-                    continue
-            todo = moves.get(source, ())
-            scanned += len(todo)
-            if scanned > stop_at:
-                stop_at, unsure = self.stop(expanded, scanned, len(todo))
-                if prune:
-                    moves = self.moves
-            expanded += 1
-            path = [source]
-            on_path = {source}
-            stack = [iter(todo)]
+        # The bottom frame's moves are the sources. The counters are written
+        # back however the walk ends: CPython closes a dropped walk at once.
+        path: list[str] = []
+        on_path: set[str] = set()
+        stack = [iter(self.sources)]
+        try:
             while stack:
                 # Edges a walk has left after its step from the path's end.
                 room = length - len(path)
@@ -391,17 +378,16 @@ class _Search:
                             pruned = pruned or gap is not None or unsure
                             continue
                     if not room:
-                        self.expanded, self.scanned = expanded, scanned
                         yield (*path, neighbor)
                         continue
                     if neighbor in targets:
                         continue
                     todo = moves.get(neighbor, ())
-                    scanned += len(todo)
-                    if scanned > stop_at:
-                        stop_at, unsure = self.stop(expanded, scanned, len(todo))
+                    if scanned + len(todo) > stop_at:
+                        stop_at, unsure = self.stop(scanned + len(todo))
                         if prune:
                             moves = self.moves
+                    scanned += len(todo)
                     expanded += 1
                     path.append(neighbor)
                     on_path.add(neighbor)
@@ -409,8 +395,10 @@ class _Search:
                     break
                 else:
                     stack.pop()
-                    on_path.discard(path.pop())
-        self.expanded, self.scanned = expanded, scanned
+                    if path:
+                        on_path.discard(path.pop())
+        finally:
+            self.expanded, self.scanned = expanded, scanned
         if prune:
             self.pruned = pruned
 
@@ -452,8 +440,9 @@ def find_paths(
     """All simple paths from any source to any target within the limits.
 
     Returned shortest first; equal-length paths are ordered by node-id
-    sequence. The search stops at `max_paths` paths or at `_MAX_SCANS`
-    neighbour scans and records why on `stats`.
+    sequence. A source that is also a target starts no path. The search
+    stops at `max_paths` paths or at `_MAX_SCANS` neighbour scans and
+    records why on `stats`.
     """
     source_ids = sorted(set(sources))
     target_ids = set(targets)

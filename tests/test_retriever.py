@@ -410,6 +410,33 @@ class TestBlockFilter:
                 assert stats.truncated_by_depth
 
 
+class TestEndsThatOverlap:
+    """Sources that are also targets, which `retrieve` never asks for: such
+    a source starts no path, and a path from another source ends at it, as
+    in the exhaustive enumeration. The retired breadth-first search expands
+    such a source, so it is compared on disjoint ends only."""
+
+    def test_source_that_is_a_target_starts_no_path(self):
+        graph = kc_graph(["x", "a", "b", "y"], [("x", "a"), ("a", "b"), ("b", "y")], [], [])
+        assert find_paths(graph, ["a"], ["a", "y"]) == []
+        assert [path.nodes for path in find_paths(graph, ["x", "a"], ["a", "y"])] == [("x", "a")]
+
+    @pytest.mark.parametrize("max_depth, max_paths", [(16, 64), (3, 4), (16, 10**6)])
+    def test_matches_exhaustive_enumeration(self, monkeypatch, max_depth, max_paths):
+        rng = random.Random(9100 + max_depth + max_paths % 97)
+        limits = RetrievalLimits(max_depth, max_paths)
+        for _ in range(300):
+            graph, sources, targets = random_io_graph(rng)
+            sources += rng.sample(sorted(graph.kc_nodes), rng.randint(0, 2))
+            targets += rng.sample(sources, rng.randint(1, len(sources)))
+            expected = sorted(oracle_simple_paths(graph, sources, targets, max_depth),
+                              key=lambda nodes: (len(nodes), nodes))[:max_paths]
+            for point in (float("inf"), *SWITCH_POINTS):
+                monkeypatch.setattr(retriever, "_filter_point", lambda index, point=point: point)
+                got = find_paths(graph, sources, targets, limits)
+                assert [path.nodes for path in got] == expected
+
+
 def knot_graph(width):
     """A call knot: `k0` ... `k9`, where each `k_i` calls every `k_j` with
     j > i and yields `width` outputs of its own, and `a`, which calls `k0`
