@@ -147,51 +147,86 @@ def kc_node_id(entry_id: str, function_name: str) -> str:
 
 
 def _placeholder_knowledge(function_name: str, body_text: str) -> str:
-    first_line = next((ln.strip() for ln in body_text.split("\n") if ln.strip()), "")
+    # The first line that is not blank, stripped.
+    first_line = body_text.lstrip().partition("\n")[0].rstrip()
     return f"function {function_name}: {first_line}"
 
 
 def assemble_raw_graph(fragments: Iterable[TraceFragment], corpus: Corpus) -> DependencyGraph:
     """Build the pre-merge graph: one node per (entry, function) pair,
     CALL edges from each fragment, knowledge attached from the entry's
-    annotations (or a generated one-line description)."""
+    annotations (or a generated one-line description). A name an entry
+    defines more than once keeps its first definition; its later
+    differing bodies are the node's `variants`."""
     knowledge_by_entry = {entry.entry_id: entry.knowledge_map for entry in corpus.entries}
     kc_nodes: dict[str, KnowledgeCodeNode] = {}
+    bodies: dict[str, dict[str, None]] = {}  # node id -> its bodies, for an id defined twice
     edges: set[Edge] = set()
     for fragment in fragments:
-        knowledge_map = knowledge_by_entry.get(fragment.entry_id, {})
+        entry_id = fragment.entry_id
+        knowledge_map = knowledge_by_entry.get(entry_id, {})
         defined = {fn.name for fn in fragment.functions}
         for annotated in knowledge_map:
             if annotated not in defined:
                 raise KnowledgeBindingError(
-                    f"entry {fragment.entry_id!r} annotates unknown function {annotated!r}"
+                    f"entry {entry_id!r} annotates unknown function {annotated!r}"
                 )
+        origin = (entry_id,)
         for fn in fragment.functions:
-            node_id = kc_node_id(fragment.entry_id, fn.name)
+            node_id = kc_node_id(entry_id, fn.name)
             existing = kc_nodes.get(node_id)
             if existing is not None:
-                # Same name defined twice in one entry: first definition
-                # wins, later differing bodies are kept as variants.
-                if fn.text != existing.code and fn.text not in existing.variants:
-                    kc_nodes[node_id] = existing._replace(variants=existing.variants + (fn.text,))
+                bodies.setdefault(node_id, {existing.code: None})[fn.text] = None
                 continue
-            knowledge = knowledge_map.get(fn.name, "").strip()
-            if not knowledge:
-                knowledge = _placeholder_knowledge(fn.name, fn.body_text)
-            kc_nodes[node_id] = KnowledgeCodeNode(
-                node_id=node_id,
-                function_name=fn.name,
-                code=fn.text,
-                knowledge=knowledge,
-                origin_entries=(fragment.entry_id,),
-            )
+            knowledge = (knowledge_map.get(fn.name, "").strip()
+                         or _placeholder_knowledge(fn.name, fn.body_text))
+            kc_nodes[node_id] = KnowledgeCodeNode(node_id, fn.name, fn.text, knowledge, origin)
         for caller, callee in fragment.call_edges:
-            edges.add(Edge(
-                kc_node_id(fragment.entry_id, caller),
-                kc_node_id(fragment.entry_id, callee),
-                CALL,
-            ))
+            edges.add(Edge(kc_node_id(entry_id, caller), kc_node_id(entry_id, callee), CALL))
+    for node_id, codes in bodies.items():
+        kc_nodes[node_id] = kc_nodes[node_id]._replace(variants=tuple(codes)[1:])
     return DependencyGraph(kc_nodes=kc_nodes, edges=edges)
+
+
+class _Merge:
+    """What the copies of one function name add to its canonical node.
+
+    The dicts hold the canonical node's own origins and bodies first, so
+    the ones the copies add are the keys past `seeded`. The knowledge is
+    kept as its texts plus the parts that splitting their join on the
+    separator gives: those before the last in a set, and the last, which
+    the next appended text may run on from, alone in `tail`."""
+
+    __slots__ = ("canon", "origins", "variants", "seeded", "texts", "parts", "tail")
+
+    def __init__(self, canon: KnowledgeCodeNode):
+        self.canon = canon
+        self.origins = dict.fromkeys(canon.origin_entries)
+        self.variants = dict.fromkeys((canon.code,) + canon.variants)
+        self.seeded = len(self.origins), len(self.variants)
+        self.texts = [canon.knowledge]
+        *parts, self.tail = canon.knowledge.split(_KNOWLEDGE_SEPARATOR)
+        self.parts = set(parts)
+
+    def add(self, node: KnowledgeCodeNode) -> None:
+        self.origins.update(dict.fromkeys(node.origin_entries))
+        self.variants.update(dict.fromkeys((node.code,) + node.variants))
+        text = node.knowledge
+        if text and text != self.tail and text not in self.parts:
+            # Only the last part of the join can run on into the new text.
+            *parts, self.tail = (self.tail + _KNOWLEDGE_SEPARATOR + text).split(
+                _KNOWLEDGE_SEPARATOR)
+            self.parts.update(parts)
+            self.texts.append(text)
+
+    def node(self) -> KnowledgeCodeNode:
+        canon = self.canon
+        origins, variants = self.seeded
+        return canon._replace(
+            knowledge=_KNOWLEDGE_SEPARATOR.join(self.texts),
+            origin_entries=canon.origin_entries + tuple(self.origins)[origins:],
+            variants=canon.variants + tuple(self.variants)[variants:],
+        )
 
 
 def merge_identical(graph: DependencyGraph) -> DependencyGraph:
@@ -202,37 +237,32 @@ def merge_identical(graph: DependencyGraph) -> DependencyGraph:
     redirected to the canonical node and the edge set deduplicated.
     Origin entries are unioned; differing knowledge texts are appended in
     entry order; differing bodies land in `variants`.
+
+    Linear in the size of the merged nodes: a name seen a second time
+    starts one accumulator, and each merged node is made once, at the end.
     """
-    canonical_by_name: dict[str, str] = {}
+    first: dict[str, KnowledgeCodeNode] = {}  # function name -> canonical node
+    # Node id -> canonical id, for every node: the edges then hold the
+    # nodes' own id strings, and a lookup of an id that is the same object
+    # as the key it meets needs no string comparison.
     redirect: dict[str, str] = {}
-    merged_kc: dict[str, KnowledgeCodeNode] = {}
-
+    merges: dict[str, _Merge] = {}  # function name -> accumulator, for a repeated name
     for node in graph.kc_nodes.values():
-        canon_id = canonical_by_name.get(node.function_name)
-        if canon_id is None:
-            canonical_by_name[node.function_name] = node.node_id
-            redirect[node.node_id] = node.node_id
-            merged_kc[node.node_id] = node
+        canon = first.setdefault(node.function_name, node)
+        redirect[node.node_id] = canon.node_id
+        if canon is node:
             continue
-        redirect[node.node_id] = canon_id
-        canon = merged_kc[canon_id]
-        origins = canon.origin_entries
-        for origin in node.origin_entries:
-            if origin not in origins:
-                origins += (origin,)
-        knowledge = canon.knowledge
-        if node.knowledge and node.knowledge not in knowledge.split(_KNOWLEDGE_SEPARATOR):
-            knowledge += _KNOWLEDGE_SEPARATOR + node.knowledge
-        variants = canon.variants
-        for body in (node.code,) + node.variants:
-            if body != canon.code and body not in variants:
-                variants += (body,)
-        merged_kc[canon_id] = canon._replace(origin_entries=origins, knowledge=knowledge,
-                                             variants=variants)
+        merge = merges.get(node.function_name)
+        if merge is None:
+            merge = merges[node.function_name] = _Merge(canon)
+        merge.add(node)
 
+    kc_nodes = {node.node_id: node for node in first.values()}
+    for merge in merges.values():
+        kc_nodes[merge.canon.node_id] = merge.node()
     edges = {Edge(redirect.get(edge.src, edge.src), redirect.get(edge.dst, edge.dst), edge.type)
              for edge in graph.edges}
-    return graph._replace(kc_nodes=merged_kc, edges=edges)
+    return graph._replace(kc_nodes=kc_nodes, edges=edges)
 
 
 def insert_io_nodes(graph: DependencyGraph, io_specs: Iterable[IoSpec]) -> DependencyGraph:
@@ -256,7 +286,7 @@ def insert_io_nodes(graph: DependencyGraph, io_specs: Iterable[IoSpec]) -> Depen
                     )
                 io_id = graph.io_node_id(decl.label, kind)
                 if io_id not in io_nodes:
-                    io_nodes[io_id] = IoNode(node_id=io_id, label=decl.label, kind=kind)
+                    io_nodes[io_id] = IoNode(io_id, decl.label, kind)
                 if kind == INPUT:
                     edges.add(Edge(io_id, anchor_id, FEEDS))
                 else:

@@ -32,7 +32,7 @@ so it is reported only when nothing else is wrong.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import KEYWORDS, CorpusEntry
 from .errors import ParseError
@@ -51,15 +51,26 @@ _STRING_BODIES = {q: rf"[^{q}\\]*(?:\\.[^{q}\\]*)*" for q in "\"'"}
 # a closed string). finditer tries the alternatives at each position in
 # turn and skips a character none of them matches. A call whose arguments
 # hold no bracket, quote or comment is one token, closed on its line.
+# The scan is the parser's largest cost, so the pattern is written for the
+# regex engine without changing a match. The lookahead lists every
+# character an alternative can start with: at a space, digit or operator
+# the attempt fails in one test instead of one per alternative. An
+# optional group is `(?:X|)`, not `X?`, and `(?:def\s+)*` is spelled
+# `(?:def\s+(?:def\s+)*|)`: the engine checks an alternative's first
+# character before it enters it, while a `?` or `*` over a group starts a
+# repeat, which every name would pay for.
 _TOKEN_RE = re.compile(r"""
+    (?=[#"'.A-Za-z_()\[\]{}\\])
+    (?:
     \#.*                                # a comment runs to the end of the line
   | "%s" | '%s'                         # a closed string literal
   | (?P<open>["'])                      # a quote that does not close on its line
-  | (?P<skip>\.?(?:def\s+)*)            # an attribute, or a name right after `def`
+  | (?P<skip>\.?(?:def\s+(?:def\s+)*|))  # an attribute, or a name right after `def`
     (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    (?:(?P<call>\()(?P<args>[^][(){}"'\#\\]*\))?)?  # arguments closed on this line
+    (?:(?P<call>\()(?:(?P<args>[^][(){}"'\#\\]*\))|)|)  # arguments closed on this line
   | (?P<bracket>[][(){}])
   | (?P<backslash>\\$)                  # the line goes on on the next one
+    )
 """ % (_STRING_BODIES['"'], _STRING_BODIES["'"]), re.VERBOSE)
 # The rest of a string, from a point inside it: up to its closing quote,
 # or to an unescaped backslash that ends the line, where it goes on.
@@ -68,8 +79,8 @@ _STRING_TAILS = {q: re.compile(rf"{body}(?:(?P<closed>{q})|\\$)")
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 _NOTHING_TO_CONTINUE = "backslash before a blank line or the end of the input"
 
-@dataclass(frozen=True)
-class FunctionDef:
+
+class FunctionDef(NamedTuple):
     """One parsed definition: its header pieces, the verbatim body slice,
     and the callee names found in its own body lines (deduplicated,
     first-occurrence order, library calls included). `text` is the whole
@@ -82,8 +93,7 @@ class FunctionDef:
     text: str
 
 
-@dataclass(frozen=True)
-class TraceFragment:
+class TraceFragment(NamedTuple):
     """The parse result of one corpus entry: its functions plus the
     caller->callee edges between functions defined in the same entry."""
 
@@ -92,19 +102,25 @@ class TraceFragment:
     call_edges: tuple[tuple[str, str], ...]
 
 
-@dataclass
 class _Definition:
     """A definition while it is parsed: offsets into the source text and
-    its calls so far (a dict keeps first-occurrence order)."""
+    its calls so far (a dict keeps first-occurrence order). A line that
+    extends several open definitions sets `body_end` on the innermost of
+    them only; `_close` hands it on to the definition around it."""
 
-    name: str
-    params: tuple[str, ...]
-    indent: int
-    line_no: int
-    start: int
-    body_start: int | None = None
-    body_end: int = 0
-    calls: dict[str, None] = field(default_factory=dict)
+    __slots__ = ("name", "params", "indent", "line_no", "start", "body_start", "body_end",
+                 "calls")
+
+    def __init__(self, name: str, params: tuple[str, ...], indent: int, line_no: int,
+                 start: int):
+        self.name = name
+        self.params = params
+        self.indent = indent
+        self.line_no = line_no
+        self.start = start
+        self.body_start: int | None = None
+        self.body_end = 0
+        self.calls: dict[str, None] = {}
 
 
 def _parse_header(line: str, line_no: int, indent: int, start: int) -> _Definition:
@@ -125,10 +141,18 @@ def _parse_header(line: str, line_no: int, indent: int, start: int) -> _Definiti
     return _Definition(match["name"], tuple(params), indent, line_no, start)
 
 
-def _close(definition: _Definition) -> None:
-    if definition.body_start is None:
-        raise ParseError(f"definition of {definition.name!r} has no body",
-                         definition.line_no, definition.indent + 1)
+def _close(open_defs: list[_Definition]) -> _Definition | None:
+    """Pop the innermost open definition, which must have a body, and hand
+    its body end to the one around it. Returns the new innermost one."""
+    closed = open_defs.pop()
+    if closed.body_start is None:
+        raise ParseError(f"definition of {closed.name!r} has no body",
+                         closed.line_no, closed.indent + 1)
+    if not open_defs:
+        return None
+    inner = open_defs[-1]
+    inner.body_end = max(inner.body_end, closed.body_end)
+    return inner
 
 
 def extract_functions(source_text: str) -> list[FunctionDef]:
@@ -141,6 +165,7 @@ def extract_functions(source_text: str) -> list[FunctionDef]:
     """
     definitions: list[_Definition] = []
     open_defs: list[_Definition] = []  # outermost first; indents strictly increase
+    inner: _Definition | None = None  # the innermost open definition
     brackets: list[tuple[str, int, int]] = []  # open brackets: (bracket, line, column)
     backslash: tuple[int, int] | None = None  # where the line before ended in one
     string: tuple[str, int, int] | None = None  # the open string's quote, line and column
@@ -148,52 +173,59 @@ def extract_functions(source_text: str) -> list[FunctionDef]:
     for line_no, line in enumerate(source_text.split("\n"), 1):
         start, end = end + 1, end + 1 + len(line)
         code = line.lstrip(" \t")
-        if not code.strip() and not string:
+        if (not code or code.isspace()) and not string:
             if backslash:
                 raise ParseError(_NOTHING_TO_CONTINUE, *backslash)
             continue
-        indent = len(line) - len(code)
-        pos = 0  # where the line's code starts
+        pos = indent = len(line) - len(code)  # where the line's code starts
         if brackets or backslash or string:
-            if not string and _DEF_RE.match(code):
+            if not string and code.startswith("def") and _DEF_RE.match(code):
                 raise ParseError("definition inside a continued line", line_no, indent + 1)
-            for definition in open_defs:
-                definition.body_end = end
+            if inner:
+                inner.body_end = end
             backslash = None
             if string:
                 tail = _STRING_TAILS[string[0]].match(line)
                 if not tail:  # the string never closes
-                    if open_defs:
+                    if inner:
                         raise ParseError("unterminated string literal", *string[1:])
                     string = None
                     continue
                 if not tail["closed"]:  # it goes on on the next line
                     continue
                 string, pos = None, tail.end()
-        else:
-            is_comment = code.startswith("#")
-            while not is_comment and open_defs and indent <= open_defs[-1].indent:
-                _close(open_defs.pop())
-            for definition in open_defs:
-                if definition.indent >= indent:
+        elif code.startswith("#"):
+            # A comment-only line joins the bodies it is indented deeper than.
+            for definition in reversed(open_defs):
+                if definition.indent < indent:
+                    if definition.body_start is None:
+                        definition.body_start = start
+                    definition.body_end = end
                     break
-                if definition.body_start is None:
-                    definition.body_start = start
-                definition.body_end = end
-            if is_comment:
-                continue
-            if _DEF_RE.match(code):
-                open_defs.append(_parse_header(line, line_no, indent, start))
-                definitions.append(open_defs[-1])
+            continue
+        else:
+            while inner and indent <= inner.indent:
+                inner = _close(open_defs)
+            if inner:
+                if inner.body_start is None:
+                    inner.body_start = start
+                inner.body_end = end
+            if code.startswith("def") and _DEF_RE.match(code):
+                inner = _parse_header(line, line_no, indent, start)
+                open_defs.append(inner)
+                definitions.append(inner)
                 continue
         # Outside every definition only brackets and backslashes count, up
         # to a quote that never closes.
-        calls = open_defs[-1].calls if open_defs else None
+        calls = inner.calls if inner else None
         for token in _TOKEN_RE.finditer(line, pos):
             kind = token.lastgroup
+            if kind == "name":  # a name that is not called
+                continue
             if kind == "call" or kind == "args":
-                if calls is not None and not token["skip"] and token["name"] not in KEYWORDS:
-                    calls[token["name"]] = None
+                skip, name = token.group("skip", "name")
+                if calls is not None and not skip and name not in KEYWORDS:
+                    calls[name] = None
                 if kind == "call":
                     brackets.append(("(", line_no, token.end()))
             elif kind == "bracket":
@@ -212,21 +244,16 @@ def extract_functions(source_text: str) -> list[FunctionDef]:
                 backslash = line_no, token.end()
     if backslash:
         raise ParseError(_NOTHING_TO_CONTINUE, *backslash)
-    if string and open_defs:
+    if string and inner:
         raise ParseError("unterminated string literal", *string[1:])
     if brackets:
         bracket, line_no, col = brackets[0]
         raise ParseError(f"{bracket!r} was never closed", line_no, col)
-    for definition in reversed(open_defs):
-        _close(definition)
+    while inner:
+        inner = _close(open_defs)
     return [
-        FunctionDef(
-            name=d.name,
-            params=d.params,
-            body_text=source_text[d.body_start:d.body_end],
-            calls=tuple(d.calls),
-            text=source_text[d.start:d.body_end],
-        )
+        FunctionDef(d.name, d.params, source_text[d.body_start:d.body_end], tuple(d.calls),
+                    source_text[d.start:d.body_end])
         for d in definitions
     ]
 
@@ -243,8 +270,4 @@ def build_trace_fragment(entry: CorpusEntry) -> TraceFragment:
     # A dict keeps the first occurrence of each edge, in order.
     edges = dict.fromkeys(
         (fn.name, callee) for fn in functions for callee in fn.calls if callee in defined)
-    return TraceFragment(
-        entry_id=entry.entry_id,
-        functions=tuple(functions),
-        call_edges=tuple(edges),
-    )
+    return TraceFragment(entry.entry_id, tuple(functions), tuple(edges))

@@ -332,6 +332,21 @@ def random_call_graph(rng: random.Random, max_kc: int = 9) -> DependencyGraph:
     return DependencyGraph(kc_nodes=kc_nodes, edges=edges)
 
 
+# The parser's token pattern as it was before it was written for the
+# regex engine: no lookahead, and `?` and `*` over groups.
+_RETIRED_STRING_BODIES = {q: rf"[^{q}\\]*(?:\\.[^{q}\\]*)*" for q in "\"'"}
+RETIRED_TOKEN_RE = re.compile(r"""
+    \#.*                                # a comment runs to the end of the line
+  | "%s" | '%s'                         # a closed string literal
+  | (?P<open>["'])                      # a quote that does not close on its line
+  | (?P<skip>\.?(?:def\s+)*)            # an attribute, or a name right after `def`
+    (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    (?:(?P<call>\()(?P<args>[^][(){}"'\#\\]*\))?)?  # arguments closed on this line
+  | (?P<bracket>[][(){}])
+  | (?P<backslash>\\$)                  # the line goes on on the next one
+""" % (_RETIRED_STRING_BODIES['"'], _RETIRED_STRING_BODIES["'"]), re.VERBOSE)
+
+
 _ORACLE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ORACLE_HEADER_RE = re.compile(
     r"^(?P<indent>[ \t]*)def\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"

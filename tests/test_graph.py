@@ -106,6 +106,18 @@ class TestAssembleRawGraph:
         assert node.code.startswith("def a(x):")
 
 
+    def test_name_defined_16000_times_in_one_entry_in_linear_time(self):
+        source = "".join(f"def f():\n    return {i}\n" for i in range(16000))
+        corpus = corpus_of(make_entry("e", source + "def f():\n    return 0\n"))
+        fragments = [build_trace_fragment(entry) for entry in corpus.entries]
+        started = time.perf_counter()
+        graph = assemble_raw_graph(fragments, corpus)
+        assert time.perf_counter() - started < 0.5
+        node = graph.kc_nodes[kc_node_id("e", "f")]
+        assert node.code == "def f():\n    return 0"
+        assert node.variants == tuple(f"def f():\n    return {i}" for i in range(1, 16000))
+
+
 class TestMergeIdentical:
     def test_all_unique_is_identity(self):
         graph = assemble(make_entry("e1", "def a():\n    b()\n\ndef b():\n    return 1\n"))
@@ -176,6 +188,41 @@ class TestMergeIdentical:
             assert len(merged.kc_nodes) == len(names)
             for edge in merged.edges:
                 assert merged.has_node(edge.src) and merged.has_node(edge.dst)
+
+
+    def test_helper_shared_by_2000_entries_matches_oracle(self):
+        # Knowledge texts: an empty one, repeats, two holding the separator
+        # (always appended), one equal to a part of the join, and two that
+        # run on into the separator.
+        texts = ("shared", "", "two\n\nparts", "shared", "parts", "ends\n", "\nstarts",
+                 "a\n\nb")
+        bodies = ("def helper():\n    pass", "def helper():\n    return 1",
+                  "def helper():\n    return 2")
+        kc_nodes, edges = {}, set()
+        for i in range(2000):
+            helper, caller = kc_node_id(f"e{i}", "helper"), kc_node_id(f"e{i}", f"step{i}")
+            kc_nodes[helper] = KnowledgeCodeNode(helper, "helper", bodies[i % 3],
+                                                 texts[i % len(texts)], (f"e{i}",))
+            kc_nodes[caller] = KnowledgeCodeNode(caller, f"step{i}", "c", "k", (f"e{i}",))
+            edges.add(Edge(caller, helper, CALL))
+        graph = DependencyGraph(kc_nodes=kc_nodes, edges=edges)
+        merged, expected = merge_identical(graph), oracle_merge(graph)
+        assert merged == expected
+        assert list(merged.kc_nodes) == list(expected.kc_nodes)
+        assert len(merged.kc_nodes) == 2001 and len(merged.edges) == 2000
+
+    def test_16000_copies_merge_in_linear_time(self):
+        ids = [kc_node_id(f"e{i:05d}", "helper") for i in range(16000)]
+        graph = DependencyGraph(kc_nodes={
+            node_id: KnowledgeCodeNode(node_id, "helper", f"c{i % 3}", f"k{i % 5}", (node_id,))
+            for i, node_id in enumerate(ids)})
+        started = time.perf_counter()
+        merged = merge_identical(graph)
+        assert time.perf_counter() - started < 0.5
+        node = merged.kc_nodes[ids[0]]
+        assert node.origin_entries == tuple(ids)
+        assert node.variants == ("c1", "c2")
+        assert node.knowledge == "\n\n".join(f"k{i}" for i in range(5))
 
 
 class TestInsertIoNodes:

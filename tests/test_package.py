@@ -15,6 +15,7 @@ from conftest import FEE_QUESTION, FIXTURE_DIR
 from sgkr.baselines import evaluate, load_gold, load_vectors
 from sgkr.context import assemble_context
 from sgkr.graph import DependencyGraph, Edge, KnowledgeCodeNode, serialize, validate_graph
+from sgkr.parser import build_trace_fragment
 from sgkr.retriever import RetrievalLimits, retrieve, traversal_index
 from sgkr.tagger import extract_tags
 
@@ -72,11 +73,17 @@ def test_cold_eval_imports_only_what_it_runs(fee_graph, tmp_path):
     ]) == "0 ['sgkr.baselines']"
 
 
+def test_cold_build_imports_only_what_it_runs(tmp_path):
+    assert cold_imports(["build", "--manifest", str(FIXTURE_DIR / "manifest.json"),
+                         "--graph", str(tmp_path / "fee_graph.json")]) == "0 ['sgkr.parser']"
+
+
 def every_record(fee_corpus, fee_graph, fee_vocab):
     """One instance of each read-only record and class."""
     tags = extract_tags(FEE_QUESTION, fee_vocab)
     result = retrieve(fee_graph, tags)
     entry = fee_corpus.entries[0]
+    fragment = build_trace_fragment(entry)
     gold = load_gold(FIXTURE_DIR / "gold.json")
     report = evaluate({annotation.question: frozenset() for annotation in gold}, gold)
     return [
@@ -86,13 +93,14 @@ def every_record(fee_corpus, fee_graph, fee_vocab):
         fee_vocab, tags, RetrievalLimits(), result, result.paths[0], result.paths[0].edges[0],
         traversal_index(fee_graph).blocks, assemble_context(result, fee_graph),
         load_vectors(FIXTURE_DIR / "vectors.txt"), gold[0], report, report.per_question[0][1],
+        fragment, fragment.functions[0],
     ]
 
 
 class TestReadOnly:
     def test_fields_cannot_be_set_added_or_deleted(self, fee_corpus, fee_graph, fee_vocab):
         records = every_record(fee_corpus, fee_graph, fee_vocab)
-        assert len({type(record).__name__ for record in records}) == 20
+        assert len({type(record).__name__ for record in records}) == 22
         for record in records:
             fields = getattr(record, "_fields", None) or type(record).__slots__
             with pytest.raises(AttributeError):

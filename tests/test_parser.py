@@ -5,11 +5,11 @@ import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import ast_functions, oracle_extract_functions
+from oracles import RETIRED_TOKEN_RE, ast_functions, oracle_extract_functions
 
-from sgkr.corpus import CorpusEntry, IoSpec
+from sgkr.corpus import CorpusEntry, IoSpec, load_corpus
 from sgkr.errors import ParseError
-from sgkr.parser import build_trace_fragment, extract_functions
+from sgkr.parser import _TOKEN_RE, build_trace_fragment, extract_functions
 
 
 class TestExtractFunctions:
@@ -554,3 +554,36 @@ class TestAgainstAst:
         else:
             source = source[:at] + put + source[at + 1:]
         assert_agrees_with_ast(source, parse_outcome(extract_functions, source))
+
+
+def token_sequence(pattern, line: str, pos: int = 0):
+    return [(token.span(), token.lastgroup, token.groupdict())
+            for token in pattern.finditer(line, pos)]
+
+
+# Pieces of the lines the token scan is tried on: quotes, comments,
+# backslashes, brackets, dots, `def`, digits before letters, spaces and
+# non-ASCII letters.
+LINE_PIECES = ('"', "'", "#", "\\", "\\\\", "(", ")", "[", "]", "{", "}", ".", "def", "def ",
+               "1e5(", "x", "f(", "g(a)", "_y1", " ", "\t", "é", "ß", ",", "=", "9")
+
+
+class TestTokenScan:
+    """The token pattern against the retired one (`oracles.RETIRED_TOKEN_RE`):
+    the same spans, kinds and groups, token for token."""
+
+    def test_corpus_lines(self, fee_corpus, small_workloads):
+        corpora = [fee_corpus, *(load_corpus(data.manifest) for *_, data in small_workloads.values())]
+        lines = [line for corpus in corpora for entry in corpus.entries
+                 for line in entry.source_text.split("\n")]
+        assert len(lines) > 2000
+        for line in lines:
+            assert token_sequence(_TOKEN_RE, line) == token_sequence(RETIRED_TOKEN_RE, line), line
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.sampled_from(LINE_PIECES), max_size=12).map("".join), st.data())
+    def test_built_lines(self, line, data):
+        pos = data.draw(st.integers(0, len(line)))
+        for start in (0, pos):
+            assert token_sequence(_TOKEN_RE, line, start) == \
+                token_sequence(RETIRED_TOKEN_RE, line, start), (line, start)
