@@ -316,10 +316,7 @@ def evaluate(
             raise MissingResult(f"no result for question {annotation.question!r}")
         score = score_retrieval(frozenset(results[annotation.question]), annotation.needed)
         per_question.append((annotation.question, score))
-    n = len(per_question)
-    if n == 0:
-        return EvalReport(per_question=(), mean_precision=0.0, mean_recall=0.0,
-                          mean_f1=0.0, mean_retrieved=0.0)
+    n = len(per_question) or 1  # with no questions, every sum and mean is 0
     return EvalReport(
         per_question=tuple(per_question),
         mean_precision=sum(s.precision for _, s in per_question) / n,
@@ -351,19 +348,6 @@ def format_eval_table(reports: Mapping[str, EvalReport]) -> str:
 
 
 def eval_report_to_dict(report: EvalReport) -> dict:
-    return {
-        "per_question": [
-            {
-                "question": question,
-                "precision": score.precision,
-                "recall": score.recall,
-                "f1": score.f1,
-                "retrieved_kc_count": score.retrieved_kc_count,
-            }
-            for question, score in report.per_question
-        ],
-        "mean_precision": report.mean_precision,
-        "mean_recall": report.mean_recall,
-        "mean_f1": report.mean_f1,
-        "mean_retrieved": report.mean_retrieved,
-    }
+    return {**report._asdict(),
+            "per_question": [{"question": question, **score._asdict()}
+                             for question, score in report.per_question]}

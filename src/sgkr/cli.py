@@ -151,24 +151,21 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
 
     vectors = baselines.load_vectors(args.vectors) if args.vectors else None
 
+    def retrieved(method: str, question: str) -> frozenset[str]:
+        if method != "sgkr":
+            return frozenset(baselines.retrieve_topk(question, g, args.k, scorer=method,
+                                                     vectors=vectors))
+        retrieval = retriever.retrieve(g, tagger.extract_tags(question, vocab), limits)
+        if retrieval.stats.truncated_by_budget:
+            print(f"note: search for {question!r} stopped at the work budget", file=sys.stderr)
+        return frozenset(retriever.retrieved_kc_names(retrieval, g))
+
     reports: dict[str, baselines.EvalReport] = {}
     for method in methods:
-        results: dict[str, frozenset[str]] = {}
         if method == "sgkr":
             vocab = _build_vocab(g, args.aliases)
-            for annotation in gold:
-                tagset = tagger.extract_tags(annotation.question, vocab)
-                retrieval = retriever.retrieve(g, tagset, limits)
-                if retrieval.stats.truncated_by_budget:
-                    print(f"note: search for {annotation.question!r} stopped at the work budget",
-                          file=sys.stderr)
-                results[annotation.question] = frozenset(
-                    retriever.retrieved_kc_names(retrieval, g))
-        else:
-            for annotation in gold:
-                names = baselines.retrieve_topk(
-                    annotation.question, g, args.k, scorer=method, vectors=vectors)
-                results[annotation.question] = frozenset(names)
+        results = {annotation.question: retrieved(method, annotation.question)
+                   for annotation in gold}
         reports[method] = baselines.evaluate(results, gold)
 
     if args.format == "structured":
@@ -208,15 +205,19 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_flags(p: argparse.ArgumentParser, *, search: bool) -> None:
+    def add_graph_flags(p: argparse.ArgumentParser, *,
+                        search: bool) -> argparse._MutuallyExclusiveGroup:
         p.add_argument("--graph", help="graph document path")
         if search:
             p.add_argument("--max-depth", type=int,
                            help="longest dependency path searched, in edges")
             p.add_argument("--max-paths", type=int, help="path count limit")
             p.add_argument("--aliases", help="alias file path")
-        p.add_argument("--format", choices=("text", "structured"), default="text",
-                       help="output format")
+        # Unset means text. A default of None, which no argument spells, has
+        # argparse count `--format text` as given when `inspect --dot` is too.
+        formats = p.add_mutually_exclusive_group()
+        formats.add_argument("--format", choices=("text", "structured"), help="output format")
+        return formats
 
     p_build = sub.add_parser("build", help="build a graph document from a corpus manifest")
     p_build.set_defaults(run=cmd_build)
@@ -238,8 +239,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect", help="list a graph document's contents")
     p_inspect.set_defaults(run=cmd_inspect)
-    add_graph_flags(p_inspect, search=False)
-    p_inspect.add_argument("--dot", action="store_true", help="emit a Graphviz document")
+    add_graph_flags(p_inspect, search=False).add_argument(
+        "--dot", action="store_true", help="emit a Graphviz document")
 
     return parser
 

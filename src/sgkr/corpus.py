@@ -8,10 +8,10 @@ knowledge annotation map.
 Every input file the package reads goes through `read_text`, and every
 JSON one but the graph document (which `graph.deserialize` parses from a
 string) through `read_json`; `check` is the one field checker of all
-their records. Where a file holds many records (the manifest's entries
-and their labels, the graph document's nodes and edges), the reader makes
-`check`'s tests inline and calls it only on a record that fails, to
-raise the message.
+their records. Only `graph.deserialize` makes `check`'s tests inline,
+and calls it only on a record that fails, to raise the message: every
+command but `build` starts by reading a graph document, and the
+benchmark's `cli` one holds 16 226 records.
 """
 
 from __future__ import annotations
@@ -148,21 +148,14 @@ def _io_decls(raw: dict, side: str, where: str) -> tuple[IoDecl, ...]:
     if not raw[side]:
         raise MalformedManifest(f"{where}: at least one {side[:-1]} label required")
     decls = []
-    io_keys = _IO_FIELDS.keys()
     for i, item in enumerate(raw[side]):
-        if not (type(item) is dict and item.keys() == io_keys
-                and type(item["label"]) is str and type(item["anchor"]) is str):
-            check(item, _IO_FIELDS, f"{where}[{i}]", MalformedManifest)
+        check(item, _IO_FIELDS, f"{where}[{i}]", MalformedManifest)
         decls.append(IoDecl(normalize_label(item["label"]), item["anchor"]))
     return tuple(decls)
 
 
 def _parse_entry(raw: object, base_dir: Path, where: str) -> CorpusEntry:
-    if not (type(raw) is dict and raw.keys() == _ENTRY_FIELDS.keys()
-            and type(raw["id"]) is str and type(raw["source"]) is str
-            and type(raw["inputs"]) is list and type(raw["outputs"]) is list
-            and type(raw["knowledge"]) is dict):
-        check(raw, _ENTRY_FIELDS, where, MalformedManifest)
+    check(raw, _ENTRY_FIELDS, where, MalformedManifest)
     if not raw["id"]:
         raise MalformedManifest(f"{where}: 'id' must be a non-empty string")
     inputs = _io_decls(raw, "inputs", f"{where}.inputs")

@@ -45,7 +45,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import UnknownNode
-from .graph import CALL, EDGE_TYPES, DependencyGraph, Edge
+from .graph import CALL, EDGE_TYPES, INPUT, OUTPUT, DependencyGraph, Edge
 from .tagger import TagSet
 
 
@@ -484,8 +484,8 @@ def retrieve(
     if tagset.fallback:
         return RetrievalResult(paths=(), subgraph_nodes=frozenset(), fallback=True, stats=stats)
 
-    sources = [graph.io_node_id(label, "input") for label in sorted(tagset.inputs)]
-    targets = [graph.io_node_id(label, "output") for label in sorted(tagset.outputs)]
+    sources = [graph.io_node_id(label, INPUT) for label in sorted(tagset.inputs)]
+    targets = [graph.io_node_id(label, OUTPUT) for label in sorted(tagset.outputs)]
     paths = tuple(find_paths(graph, sources, targets, limits, stats))
     subgraph = frozenset().union(*(path.nodes for path in paths))
     return RetrievalResult(paths=paths, subgraph_nodes=subgraph, fallback=False, stats=stats)

@@ -20,9 +20,11 @@ from sgkr import baselines, build_graph, load_corpus
 from sgkr.baselines import (
     BM25_B,
     BM25_K1,
+    EvalReport,
     GoldAnnotation,
     LexicalRanker,
     code_identifier_tokens,
+    eval_report_to_dict,
     evaluate,
     format_eval_table,
     lexical_ranker,
@@ -262,6 +264,16 @@ class TestRetrieveTopk:
         graph = small_graph(make_node("b"), make_node("a"), make_node("c"))
         assert retrieve_topk("q", graph, 2, scorer="vectors", vectors=vectors) == ["a", "b"]
 
+    @pytest.mark.parametrize("k, scorer, message", [
+        (0, "lexical", "k must be >= 1"),
+        (1, "vectors", "scorer 'vectors' requires a VectorStore"),
+        (1, "bm25", "unknown scorer 'bm25'"),
+    ])
+    def test_bad_arguments_rejected(self, k, scorer, message):
+        graph = small_graph(make_node("f"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            retrieve_topk("f", graph, k, scorer=scorer)
+
     def test_ranker_built_once_per_graph(self, fee_graph):
         ranker = lexical_ranker(fee_graph)
         retrieve_topk(FEE_QUESTION, fee_graph, 3)
@@ -352,10 +364,11 @@ class TestRetrieveTopk:
 class TestVectors:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "v.txt"
-        path.write_text("3\nname with spaces\t0.5 -1.0 2.0\n")
+        path.write_text("3\nname with spaces\t0.5 -1.0 2.0\n\n \ng\t1 2 3\n")
         store = load_vectors(path)
         assert store.dimension == 3
         assert store.get("name with spaces") == (0.5, -1.0, 2.0)
+        assert store.get("g") == (1.0, 2.0, 3.0)
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -374,6 +387,9 @@ class TestVectors:
         path = tmp_path / "v.txt"
         path.write_text("not a number\nf\t1.0\n")
         with pytest.raises(SchemaViolation):
+            load_vectors(path)
+        path.write_text("")
+        with pytest.raises(SchemaViolation, match="^vector file is empty$"):
             load_vectors(path)
 
     def test_repeated_name_names_both_lines(self, tmp_path):
@@ -438,6 +454,24 @@ class TestEvaluate:
         assert report.mean_precision == 1.0
         assert report.mean_recall == 1.0
         assert report.mean_f1 == 1.0
+
+    def test_no_questions_score_zero(self):
+        assert evaluate({}, []) == EvalReport(per_question=(), mean_precision=0.0,
+                                              mean_recall=0.0, mean_f1=0.0, mean_retrieved=0.0)
+
+    def test_report_as_dict(self):
+        gold = [GoldAnnotation("q1", frozenset({"a"}), frozenset()),
+                GoldAnnotation("q2", frozenset({"a", "b"}), frozenset())]
+        report = evaluate({"q1": {"a", "c"}, "q2": set()}, gold)
+        assert eval_report_to_dict(report) == {
+            "per_question": [
+                {"question": "q1", "precision": 0.5, "recall": 1.0, "f1": 2 / 3,
+                 "retrieved_kc_count": 2},
+                {"question": "q2", "precision": 0.0, "recall": 0.0, "f1": 0.0,
+                 "retrieved_kc_count": 0},
+            ],
+            "mean_precision": 0.25, "mean_recall": 0.5, "mean_f1": 1 / 3, "mean_retrieved": 1.0,
+        }
 
     def test_missing_result(self):
         gold = [GoldAnnotation("q1", frozenset({"a"}), frozenset())]

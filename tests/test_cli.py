@@ -110,6 +110,30 @@ class TestBuild:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "063b575c918a3537dd042ce6ce922443d57524d5549249ade5b2af0c03fe1534"
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--graph", "g.json"], "no manifest given (--manifest)"),
+        (["--manifest", MANIFEST], "no output path given (--graph)"),
+    ])
+    def test_missing_path_is_error(self, flag, message, capsys):
+        assert main(["build", *flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_invariant_violation_is_a_warning_line(self, tmp_path, capsys):
+        # "??" normalizes to the empty label, which the validator flags.
+        (tmp_path / "e.py").write_text("def f(x):\n    return x\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"corpus_name": "t", "version": "1", "entries": [{
+            "id": "e", "source": "e.py",
+            "inputs": [{"label": "??", "anchor": "f"}],
+            "outputs": [{"label": "y", "anchor": "f"}],
+            "knowledge": {},
+        }]}))
+        code = main(["build", "--manifest", str(manifest), "--graph", str(tmp_path / "g.json")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "warning: io node io:input: has empty label\n"
+        assert "wrote" in captured.out
+
     def test_unknown_annotated_function_is_one_error(self, tmp_path, capsys):
         manifest = write_corpus(tmp_path, {"e1": "def a(x):\n    return x\n"},
                                 knowledge={"e1": {"ghost": "never defined"}})
@@ -339,6 +363,7 @@ class TestEval:
     @pytest.mark.parametrize("methods, message", [
         ("sgkr,bogus", "unknown method 'bogus' (expected sgkr, lexical, vectors)"),
         ("sgkr,vectors", "method 'vectors' requires --vectors"),
+        (",", "no methods given (--methods)"),
     ])
     def test_bad_methods_fail_before_any_retrieval(self, graph_path, capsys, monkeypatch,
                                                    methods, message):
@@ -365,6 +390,15 @@ class TestInspect:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("digraph")
+
+    @pytest.mark.parametrize("flags", [["--dot", "--format", "structured"],
+                                       ["--format", "structured", "--dot"],
+                                       ["--dot", "--format", "text"]])
+    def test_dot_with_format_is_usage_error(self, graph_path, flags, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["inspect", "--graph", graph_path, *flags])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_structured_prints_canonical_document(self, graph_path, capsys):
         code = main(["inspect", "--graph", graph_path, "--format", "structured"])

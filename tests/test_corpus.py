@@ -154,6 +154,27 @@ class TestLoadCorpus:
         with pytest.raises(MalformedManifest):
             load_corpus(manifest)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"id": ""}, "entries[0]: 'id' must be a non-empty string"),
+        ({"id": 1}, "entries[0]: 'id' must be a str"),
+        ({"extra": 1}, "entries[0]: fields ['extra', 'id', 'inputs', 'knowledge', 'outputs', "
+                       "'source'] != ['id', 'inputs', 'knowledge', 'outputs', 'source']"),
+        ({"inputs": {}}, "entries[0]: 'inputs' must be a list"),
+        ({"inputs": []}, "entries[0].inputs: at least one input label required"),
+        ({"outputs": [["y", "a"]]}, "entries[0].outputs[0]: expected an object"),
+        ({"inputs": [{"label": "x"}]},
+         "entries[0].inputs[0]: fields ['label'] != ['anchor', 'label']"),
+        ({"outputs": [{"label": "y", "anchor": None}]},
+         "entries[0].outputs[0]: 'anchor' must be a str"),
+        ({"knowledge": {"a": 1}}, "entries[0].knowledge: 'a' must be a str"),
+    ], ids=["empty-id", "int-id", "extra-field", "inputs-object", "no-inputs",
+            "output-list", "input-without-anchor", "null-anchor", "int-knowledge"])
+    def test_malformed_entry_message(self, tmp_path, overrides, message):
+        manifest = write_manifest(tmp_path, [entry_dict("q1", "a.py", **overrides)])
+        with pytest.raises(MalformedManifest) as err:
+            load_corpus(manifest)
+        assert str(err.value) == message
+
     def test_not_json(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text("not json {")

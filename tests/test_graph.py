@@ -260,6 +260,10 @@ class TestInsertIoNodes:
         assert serialize(graph) == before
 
 
+# The nodes of the one entry `test_structural_violation_flagged` builds.
+A, B, X, Y = kc_node_id("e1", "a"), kc_node_id("e1", "b"), "io:input:x", "io:output:y"
+
+
 class TestValidateGraph:
     def test_fee_fixture_is_clean(self, fee_graph):
         report = validate_graph(fee_graph)
@@ -290,6 +294,31 @@ class TestValidateGraph:
                                                               kind=INPUT)})
         report = validate_graph(graph)
         assert any("unattached" in v for v in report.violations)
+
+    @pytest.mark.parametrize("change, violation", [
+        (lambda g: g._replace(kc_nodes={**g.kc_nodes, A: g.kc_nodes[A]._replace(knowledge="")}),
+         f"kc node {A} has empty knowledge"),
+        (lambda g: g._replace(io_nodes={**g.io_nodes, X: IoNode(X, "", INPUT)}),
+         f"io node {X} has empty label"),
+        (lambda g: g._replace(io_nodes={**g.io_nodes, X: IoNode(X, "x", "both")}),
+         f"io node {X} has bad kind 'both'"),
+        (lambda g: g._replace(edges=g.edges | {Edge(A, B, "USES")}),
+         f"edge {Edge(A, B, 'USES')} has unknown type"),
+        (lambda g: g._replace(edges=g.edges | {Edge(A, Y, CALL)}),
+         f"CALL edge {Edge(A, Y, CALL)} must connect kc nodes"),
+        (lambda g: g._replace(edges=g.edges | {Edge(A, B, FEEDS)}),
+         f"FEEDS edge {Edge(A, B, FEEDS)} must run input io -> kc"),
+        (lambda g: g._replace(edges=g.edges | {Edge(X, B, YIELDS)}),
+         f"YIELDS edge {Edge(X, B, YIELDS)} must run kc -> output io"),
+        (lambda g: g._replace(edges=g.edges - {Edge(A, Y, YIELDS)}),
+         f"output io node {Y} is unattached"),
+    ], ids=["empty-knowledge", "empty-label", "bad-kind", "unknown-edge-type", "call-to-io",
+            "feeds-from-kc", "yields-to-kc", "output-unattached"])
+    def test_structural_violation_flagged(self, change, violation):
+        graph = build_graph(corpus_of(make_entry(
+            "e1", "def a(x):\n    return b(x)\n\ndef b(x):\n    return x\n")))
+        assert validate_graph(graph).violations == ()
+        assert violation in validate_graph(change(graph)).violations
 
     def test_duplicate_names_flagged_pre_merge(self):
         graph = assemble(
@@ -388,6 +417,7 @@ class TestSerialization:
     def test_round_trip_equality(self, fee_graph):
         document = serialize(fee_graph)
         assert deserialize(document) == fee_graph
+        assert fee_graph.__eq__(document) is NotImplemented and fee_graph != document
 
     def test_serialize_deserialize_is_byte_stable(self, fee_graph):
         document = serialize(fee_graph)

@@ -162,6 +162,9 @@ class TestEscapesAndContinuedStrings:
         source = "X = 'a \\\ndef f(x): b'\ndef f(x):\n    return g(x)\n"
         assert [(fn.name, fn.calls) for fn in extract_functions(source)] == [("f", ("g",))]
         assert ast_functions(source) == [("f", ("x",), ("g",))]
+        # Where the next line neither closes nor continues it, the string ends there.
+        source = "X = 'a \\\nb\ndef f(x):\n    return g(x)\n"
+        assert [(fn.name, fn.calls) for fn in extract_functions(source)] == [("f", ("g",))]
 
     @pytest.mark.parametrize("source", [
         "def f(x):\n    s = 'a \\\n",
