@@ -123,7 +123,7 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
     from . import baselines  # only `eval` ranks by similarity
 
     # The flags are checked before any file is read, so a bad one fails at once.
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = list(dict.fromkeys(m.strip() for m in args.methods.split(",") if m.strip()))
     if not methods:
         raise SgkrError("no methods given (--methods)")
     for method in methods:

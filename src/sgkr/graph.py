@@ -189,43 +189,27 @@ def assemble_raw_graph(fragments: Iterable[TraceFragment], corpus: Corpus) -> De
 
 
 class _Merge:
-    """What the copies of one function name add to its canonical node.
+    """The distinct origin entries, bodies and knowledge paragraphs of one
+    repeated function name's nodes, in the order `add` first meets them."""
 
-    The dicts hold the canonical node's own origins and bodies first, so
-    the ones the copies add are the keys past `seeded`. The knowledge is
-    kept as its texts plus the parts that splitting their join on the
-    separator gives: those before the last in a set, and the last, which
-    the next appended text may run on from, alone in `tail`."""
-
-    __slots__ = ("canon", "origins", "variants", "seeded", "texts", "parts", "tail")
+    __slots__ = ("canon", "origins", "bodies", "paragraphs")
 
     def __init__(self, canon: KnowledgeCodeNode):
         self.canon = canon
-        self.origins = dict.fromkeys(canon.origin_entries)
-        self.variants = dict.fromkeys((canon.code,) + canon.variants)
-        self.seeded = len(self.origins), len(self.variants)
-        self.texts = [canon.knowledge]
-        *parts, self.tail = canon.knowledge.split(_KNOWLEDGE_SEPARATOR)
-        self.parts = set(parts)
+        self.origins, self.bodies, self.paragraphs = {}, {}, {}
+        self.add(canon)
 
     def add(self, node: KnowledgeCodeNode) -> None:
         self.origins.update(dict.fromkeys(node.origin_entries))
-        self.variants.update(dict.fromkeys((node.code,) + node.variants))
-        text = node.knowledge
-        if text and text != self.tail and text not in self.parts:
-            # Only the last part of the join can run on into the new text.
-            *parts, self.tail = (self.tail + _KNOWLEDGE_SEPARATOR + text).split(
-                _KNOWLEDGE_SEPARATOR)
-            self.parts.update(parts)
-            self.texts.append(text)
+        self.bodies.update(dict.fromkeys((node.code,) + node.variants))
+        if node.knowledge:
+            self.paragraphs.update(dict.fromkeys(node.knowledge.split(_KNOWLEDGE_SEPARATOR)))
 
     def node(self) -> KnowledgeCodeNode:
-        canon = self.canon
-        origins, variants = self.seeded
-        return canon._replace(
-            knowledge=_KNOWLEDGE_SEPARATOR.join(self.texts),
-            origin_entries=canon.origin_entries + tuple(self.origins)[origins:],
-            variants=canon.variants + tuple(self.variants)[variants:],
+        return self.canon._replace(
+            knowledge=_KNOWLEDGE_SEPARATOR.join(self.paragraphs),
+            origin_entries=tuple(self.origins),
+            variants=tuple(self.bodies)[1:],
         )
 
 
@@ -235,8 +219,12 @@ def merge_identical(graph: DependencyGraph) -> DependencyGraph:
     The canonical node is the first one in node insertion order (corpus
     entry order, then source order). Every edge touching a duplicate is
     redirected to the canonical node and the edge set deduplicated.
-    Origin entries are unioned; differing knowledge texts are appended in
-    entry order; differing bodies land in `variants`.
+    A repeated name gathers, from the canonical node first and then from
+    each copy in node order, each distinct origin entry, body and knowledge
+    paragraph once. A paragraph is a piece of a note split on a blank line
+    (an empty note has none); the merged node's `knowledge` is its
+    paragraphs joined by a blank line, and its `variants` are its bodies
+    after its own code.
 
     Linear in the size of the merged nodes: a name seen a second time
     starts one accumulator, and each merged node is made once, at the end.

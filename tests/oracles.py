@@ -40,42 +40,50 @@ KNOWLEDGE_SEP = "\n\n"
 
 
 def oracle_merge(graph: DependencyGraph) -> DependencyGraph:
-    """Relabel-and-deduplicate reference for duplicate-name merging."""
-    order = list(graph.kc_nodes.values())
-    canon: dict[str, str] = {}
-    for node in order:
-        canon.setdefault(node.function_name, node.node_id)
-    relabel = {node.node_id: canon[node.function_name] for node in order}
+    """Relabel-and-deduplicate reference for duplicate-name merging.
 
-    # Each keeper's origin entries, knowledge texts and variant bodies.
-    gathered: dict[str, tuple[list[str], list[str], list[str]]] = {
-        node.node_id: (list(node.origin_entries), [node.knowledge], list(node.variants))
-        for node in order if relabel[node.node_id] == node.node_id
-    }
-    for node in order:
-        target = relabel[node.node_id]
-        if target == node.node_id:
+    Every node is relabelled to the first node of its name. A name with
+    one node keeps it as it is. A name with several lists, over its nodes
+    in order, every origin entry, body (code, then variants) and paragraph
+    of a non-empty note that the list does not hold yet; the first node
+    keeps its code, takes the other bodies as variants and the paragraphs,
+    joined by a blank line, as knowledge."""
+    by_name: dict[str, list[KnowledgeCodeNode]] = {}
+    for node in graph.kc_nodes.values():
+        by_name.setdefault(node.function_name, []).append(node)
+
+    merged: dict[str, KnowledgeCodeNode] = {}
+    relabel: dict[str, str] = {}
+    for nodes in by_name.values():
+        keeper = nodes[0]
+        for node in nodes:
+            relabel[node.node_id] = keeper.node_id
+        if len(nodes) == 1:
+            merged[keeper.node_id] = keeper
             continue
-        origins, texts, variants = gathered[target]
-        for origin in node.origin_entries:
-            if origin not in origins:
-                origins.append(origin)
-        if node.knowledge and node.knowledge not in KNOWLEDGE_SEP.join(texts).split(KNOWLEDGE_SEP):
-            texts.append(node.knowledge)
-        for body in (node.code,) + node.variants:
-            if body != graph.kc_nodes[target].code and body not in variants:
-                variants.append(body)
-    merged = {
-        target: KnowledgeCodeNode(
-            node_id=target,
-            function_name=graph.kc_nodes[target].function_name,
-            code=graph.kc_nodes[target].code,
-            knowledge=KNOWLEDGE_SEP.join(texts),
+        origins: list[str] = []
+        bodies: list[str] = []
+        paragraphs: list[str] = []
+        for node in nodes:
+            for origin in node.origin_entries:
+                if origin not in origins:
+                    origins.append(origin)
+            for body in [node.code, *node.variants]:
+                if body not in bodies:
+                    bodies.append(body)
+            if node.knowledge == "":
+                continue
+            for paragraph in node.knowledge.split(KNOWLEDGE_SEP):
+                if paragraph not in paragraphs:
+                    paragraphs.append(paragraph)
+        merged[keeper.node_id] = KnowledgeCodeNode(
+            node_id=keeper.node_id,
+            function_name=keeper.function_name,
+            code=keeper.code,
+            knowledge=KNOWLEDGE_SEP.join(paragraphs),
             origin_entries=tuple(origins),
-            variants=tuple(variants),
+            variants=tuple(bodies[1:]),
         )
-        for target, (origins, texts, variants) in gathered.items()
-    }
 
     edges = {
         type(edge)(relabel.get(edge.src, edge.src), relabel.get(edge.dst, edge.dst), edge.type)
@@ -210,7 +218,8 @@ def random_premerge_graph(rng: random.Random, max_entries: int = 4, max_funcs: i
                 node_id=f"kc:{entry_id}:{name}",
                 function_name=name,
                 code=f"def {name}():\n    pass  # {entry_id} v{rng.randint(0, 2)}",
-                knowledge=rng.choice([f"about {name}", f"notes on {name} from {entry_id}"]),
+                knowledge=rng.choice([f"about {name}", f"notes on {name} from {entry_id}",
+                                      f"about {name}\n\nnotes on {name} from {entry_id}"]),
                 origin_entries=(entry_id,),
             )
         for caller in chosen:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FEE_QUESTION, FIXTURE_DIR
-from sgkr import cli, retriever
+from sgkr import cli, retriever, tagger
 from sgkr.cli import main
 from sgkr.context import FUNCTIONS_HEADER, KNOWLEDGE_HEADER
 
@@ -336,6 +336,28 @@ class TestEval:
         question = json.loads(Path(GOLD).read_text(encoding="utf-8"))[0]["question"]
         assert f"note: search for {question!r} stopped at the work budget\n" in captured.err
         assert "note:" not in captured.out
+
+    @pytest.mark.parametrize("form", ["text", "structured"])
+    def test_method_named_twice_is_scored_once(self, graph_path, capsys, monkeypatch, form):
+        calls = {"build_vocabulary": 0, "retrieve": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        argv = ["eval", "--graph", graph_path, "--gold", GOLD, "--aliases", ALIASES,
+                "--format", form, "--methods"]
+        assert main(argv + ["sgkr,lexical"]) == 0
+        once = capsys.readouterr()
+        monkeypatch.setattr(tagger, "build_vocabulary",
+                            counting("build_vocabulary", tagger.build_vocabulary))
+        monkeypatch.setattr(retriever, "retrieve", counting("retrieve", retriever.retrieve))
+        assert main(argv + ["sgkr,lexical,sgkr"]) == 0
+        assert capsys.readouterr() == once
+        gold = json.loads(Path(GOLD).read_text(encoding="utf-8"))
+        assert calls == {"build_vocabulary": 1, "retrieve": len(gold)}
 
     @pytest.mark.parametrize("record", [
         {"question": "q", "needed": 5, "unneeded": []},

@@ -118,6 +118,31 @@ class TestAssembleRawGraph:
         assert node.variants == tuple(f"def f():\n    return {i}" for i in range(1, 16000))
 
 
+# Paragraphs of "a", "b" and runs of "\n", so that a paragraph, a note or
+# the join of two notes may start or end with a line break.
+PARAGRAPHS = st.lists(st.text(st.sampled_from("ab\n"), max_size=4), max_size=3)
+
+
+@st.composite
+def shared_name_graphs(draw):
+    """Pre-merge graphs whose nodes share three names, with notes joined
+    from PARAGRAPHS (empty notes among them), repeated origin entries, and
+    variants that repeat one another or the node's own code."""
+    bodies = st.sampled_from(["c0", "c1", "c2"])
+    kc_nodes = {}
+    for i in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from("fgh"))
+        node_id = kc_node_id(f"e{i}", name)
+        kc_nodes[node_id] = KnowledgeCodeNode(
+            node_id, name, draw(bodies), "\n\n".join(draw(PARAGRAPHS)),
+            tuple(draw(st.lists(st.sampled_from(["e0", "e1", "e2"]), max_size=3))),
+            tuple(draw(st.lists(bodies, max_size=3))))
+    ids = list(kc_nodes)
+    edges = draw(st.lists(st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids),
+                                    st.just(CALL)), max_size=6))
+    return DependencyGraph(kc_nodes=kc_nodes, edges=edges)
+
+
 class TestMergeIdentical:
     def test_all_unique_is_identity(self):
         graph = assemble(make_entry("e1", "def a():\n    b()\n\ndef b():\n    return 1\n"))
@@ -151,6 +176,27 @@ class TestMergeIdentical:
         merged = merge_identical(graph)
         node = merged.kc_nodes[kc_node_id("e1", "f")]
         assert node.knowledge == "first\n\nsecond"
+
+    def test_shared_note_gathered_paragraph_by_paragraph(self):
+        note = {"rate": "Rates are per rule.\n\nRates are in basis points."}
+        source = "def rate(x):\n    return x\n"
+        graph = assemble(*(make_entry(f"e{i}", source, note) for i in (1, 2, 3)))
+        node = merge_identical(graph).kc_nodes[kc_node_id("e1", "rate")]
+        assert node.knowledge == note["rate"]
+
+        fourth = {"rate": "Rates are in basis points.\n\nRates round down."}
+        graph = assemble(*(make_entry(f"e{i}", source, note) for i in (1, 2, 3)),
+                         make_entry("e4", source, fourth))
+        node = merge_identical(graph).kc_nodes[kc_node_id("e1", "rate")]
+        assert node.knowledge == note["rate"] + "\n\nRates round down."
+        assert node.origin_entries == ("e1", "e2", "e3", "e4")
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_name_graphs())
+    def test_matches_relabel_oracle_on_shared_names(self, graph):
+        merged, expected = merge_identical(graph), oracle_merge(graph)
+        assert merged == expected
+        assert list(merged.kc_nodes) == list(expected.kc_nodes)
 
     def test_matches_relabel_oracle_on_random_graphs(self):
         rng = random.Random(7)
@@ -191,9 +237,9 @@ class TestMergeIdentical:
 
 
     def test_helper_shared_by_2000_entries_matches_oracle(self):
-        # Knowledge texts: an empty one, repeats, two holding the separator
-        # (always appended), one equal to a part of the join, and two that
-        # run on into the separator.
+        # Knowledge texts: an empty one (no paragraph), repeats, two of two
+        # paragraphs, one equal to a paragraph already gathered, and two
+        # whose line breaks run on into the separator when joined.
         texts = ("shared", "", "two\n\nparts", "shared", "parts", "ends\n", "\nstarts",
                  "a\n\nb")
         bodies = ("def helper():\n    pass", "def helper():\n    return 1",
@@ -210,6 +256,8 @@ class TestMergeIdentical:
         assert merged == expected
         assert list(merged.kc_nodes) == list(expected.kc_nodes)
         assert len(merged.kc_nodes) == 2001 and len(merged.edges) == 2000
+        knowledge = merged.kc_nodes[kc_node_id("e0", "helper")].knowledge
+        assert knowledge == "shared\n\ntwo\n\nparts\n\nends\n\n\n\nstarts\n\na\n\nb"
 
     def test_16000_copies_merge_in_linear_time(self):
         ids = [kc_node_id(f"e{i:05d}", "helper") for i in range(16000)]
