@@ -103,6 +103,19 @@ class LexicalRanker:
             df = len(names) + shadowed[term]
             self._idf[term] = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
+    def freeze(self) -> tuple:
+        return self._names, self._postings, self._norms, self._idf
+
+    @classmethod
+    def thaw(cls, graph: DependencyGraph, state: tuple) -> LexicalRanker:
+        names, postings, norms, idf = state
+        if not (type(names) is list and type(postings) is dict and type(norms) is dict
+                and type(idf) is dict and set(map(type, postings.values())) <= {tuple}):
+            raise ValueError("lexical section of the wrong shape")
+        ranker = cls.__new__(cls)
+        ranker._names, ranker._postings, ranker._norms, ranker._idf = state
+        return ranker
+
     def rank(self, question: str) -> list[tuple[str, float]]:
         """Every function name once, with its score, highest first, ties
         by name.
@@ -128,20 +141,21 @@ class LexicalRanker:
 
 def lexical_ranker(graph: DependencyGraph) -> LexicalRanker:
     """The graph's ranker over its nodes, built on first use."""
-    ranker = graph.cache.get("lexical")
-    if ranker is None:
-        ranker = graph.cache["lexical"] = LexicalRanker(list(graph.kc_nodes.values()))
-    return ranker
+    return graph.derived("lexical", _build_ranker, LexicalRanker.freeze, LexicalRanker.thaw)
+
+
+def _build_ranker(graph: DependencyGraph) -> LexicalRanker:
+    return LexicalRanker(list(graph.kc_nodes.values()))
 
 
 def sorted_names(graph: DependencyGraph) -> list[str]:
     """The graph's distinct function names in name order, built on first
     use."""
-    names = graph.cache.get("names")
-    if names is None:
-        names = graph.cache["names"] = sorted({node.function_name
-                                               for node in graph.kc_nodes.values()})
-    return names
+    return graph.derived("names", _sorted_names)
+
+
+def _sorted_names(graph: DependencyGraph) -> list[str]:
+    return sorted({node.function_name for node in graph.kc_nodes.values()})
 
 
 class VectorStore(_ReadOnly):

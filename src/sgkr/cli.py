@@ -48,7 +48,7 @@ def _load_config() -> dict:
 def _load_graph(path: str | None) -> graphmod.DependencyGraph:
     if not path:
         raise SgkrError("no graph document given (--graph)")
-    return graphmod.deserialize(corpus.read_text(Path(path), "graph document"))
+    return graphmod.load(path)
 
 
 def _build_vocab(g: graphmod.DependencyGraph, aliases_path: str | None) -> tagger.TagVocabulary:

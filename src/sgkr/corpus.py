@@ -5,9 +5,11 @@ at a source file, declares the semantic inputs/outputs of the solution
 (with the function each one attaches to), and carries a per-function
 knowledge annotation map.
 
-Every input file the package reads goes through `read_text`, and every
-JSON one but the graph document (which `graph.deserialize` parses from a
-string) through `read_json`; `check` is the one field checker of all
+Every input file the package reads goes through `read_bytes` and
+`decode_text`: `read_text` joins the two, and `graph.load` hashes the
+graph document's bytes before it decodes them. Every JSON file but the
+graph document (which `graph.deserialize` parses from a string) goes
+through `read_json`; `check` is the one field checker of all
 their records. Only `graph.deserialize` makes `check`'s tests inline,
 and calls it only on a record that fails, to raise the message: every
 command but `build` starts by reading a graph document, and the
@@ -23,15 +25,30 @@ from typing import Mapping, NamedTuple
 from .errors import DuplicateEntryId, MalformedManifest, MissingFile, NotUtf8, SgkrError
 
 
-def read_text(path: Path, what: str) -> str:
-    """A file's text, decoded as UTF-8. A missing file raises MissingFile
-    naming it as `what`; other bytes raise NotUtf8 naming the file."""
+def read_bytes(path: Path, what: str) -> bytes:
+    """A file's bytes. A missing file raises MissingFile naming it as
+    `what`."""
     if not path.is_file():
         raise MissingFile(f"{what} not found: {path}")
+    return path.read_bytes()
+
+
+def decode_text(data: bytes, path: Path) -> str:
+    """The bytes of the file at `path` as text mode reads them: decoded as
+    UTF-8, each `\\r\\n` and each lone `\\r` read as `\\n`. Other bytes raise
+    NotUtf8 naming the file and the offset of the first bad byte."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise NotUtf8(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_text(path: Path, what: str) -> str:
+    """A file's text, read as `read_bytes` and `decode_text` read it."""
+    return decode_text(read_bytes(path, what), path)
 
 
 def read_json(path: Path, error: type[SgkrError], what: str) -> object:

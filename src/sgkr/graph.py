@@ -17,12 +17,15 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
+from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TypeVar
 
-from .corpus import Corpus, IoSpec, check
+from .corpus import Corpus, IoSpec, check, decode_text, read_bytes
 from .errors import (
     AnchorNotFound,
     FormatVersionMismatch,
@@ -32,6 +35,8 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .parser import TraceFragment
+
+T = TypeVar("T")
 
 CALL = "CALL"
 FEEDS = "FEEDS"
@@ -95,10 +100,10 @@ class DependencyGraph(_ReadOnly):
     Read-only once made: the node maps are read-only views of private
     copies and the edges a frozenset. Graphs are equal when their nodes
     and edges are. `graph._replace(...)` makes a changed graph, which
-    starts with an empty cache.
+    starts with an empty cache and has no sidecar.
     """
 
-    __slots__ = ("kc_nodes", "io_nodes", "edges", "cache")
+    __slots__ = ("kc_nodes", "io_nodes", "edges", "cache", "sidecar")
 
     def __init__(self, kc_nodes: Mapping[str, KnowledgeCodeNode] = MappingProxyType({}),
                  io_nodes: Mapping[str, IoNode] = MappingProxyType({}),
@@ -107,9 +112,10 @@ class DependencyGraph(_ReadOnly):
         init(self, "kc_nodes", MappingProxyType(dict(kc_nodes)))
         init(self, "io_nodes", MappingProxyType(dict(io_nodes)))
         init(self, "edges", frozenset(edges))
-        # Structures derived from the graph and memoized on it by the module
-        # that owns them (the retriever's traversal index, the lexical ranker).
+        # Structures derived from the graph, memoized on it by `derived`.
         init(self, "cache", {})
+        # The sidecar of the document `load` read the graph from, if any.
+        init(self, "sidecar", None)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not DependencyGraph:
@@ -120,6 +126,26 @@ class DependencyGraph(_ReadOnly):
     def _replace(self, **changes: object) -> DependencyGraph:
         fields = {"kc_nodes": self.kc_nodes, "io_nodes": self.io_nodes, "edges": self.edges}
         return DependencyGraph(**{**fields, **changes})
+
+    def derived(self, name: str, build: Callable[[DependencyGraph], T],
+                freeze: Callable[[T], object] | None = None,
+                thaw: Callable[[DependencyGraph, object], T] | None = None) -> T:
+        """The structure `name` derived from this graph, `build(graph)`,
+        made on first use and memoized in `cache`. One given `freeze` and
+        `thaw` is kept in the section `name` of the graph's sidecar: it is
+        `thaw(graph, payload)` of a trusted section, and otherwise the
+        built one's `freeze(value)` is written there."""
+        value = self.cache.get(name)
+        if value is None:
+            sidecar = self.sidecar if freeze is not None else None
+            if sidecar is not None:
+                value = sidecar.read(name, partial(thaw, self))
+            if value is None:
+                value = build(self)
+                if sidecar is not None:
+                    sidecar.write(name, freeze(value))
+            self.cache[name] = value
+        return value
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self.kc_nodes or node_id in self.io_nodes
@@ -570,6 +596,64 @@ def deserialize(document: str) -> DependencyGraph:
             raise SchemaViolation(f"edges[{i}]: bad type {record['type']!r}")
         raise SchemaViolation(f"edges[{i}]: dangling endpoint")
     return DependencyGraph(kc_nodes=kc_nodes, io_nodes=io_nodes, edges=frozenset(edges))
+
+
+def load(path: str | Path) -> DependencyGraph:
+    """The graph of the document at `path`, equal to what `deserialize`
+    reads from it and in the same order, with the document's sidecar
+    (see `sgkr.sidecar`), in which `DependencyGraph.derived` keeps the
+    structures derived from the graph. The parsed graph is kept there
+    too, as the section `graph`: an unchanged document is not parsed
+    again. A missing document raises MissingFile, and one that is not
+    UTF-8 NotUtf8."""
+    from . import sidecar  # only the CLI keeps sidecars
+
+    path = Path(path)
+    data = read_bytes(path, "graph document")
+    side = sidecar.Sidecar(path, data) if sidecar.SUPPORTED else None
+    graph = side.read("graph", _thaw_graph) if side is not None else None
+    if graph is None:
+        text = decode_text(data, path)
+        del data  # not held while the document is parsed
+        graph = deserialize(text)
+        if side is not None:
+            side.write("graph", _freeze_graph(graph))
+    object.__setattr__(graph, "sidecar", side)
+    return graph
+
+
+def _freeze_graph(graph: DependencyGraph) -> tuple:
+    """The graph section's payload: the fields of each kind of record as
+    columns, with the records in the graph's order."""
+    return tuple(tuple(zip(*records)) or ((),) * len(kind._fields)
+                 for records, kind in ((graph.kc_nodes.values(), KnowledgeCodeNode),
+                                       (graph.io_nodes.values(), IoNode),
+                                       (graph.edges, Edge)))
+
+
+# The type of each column of the graph section's payload; each item of a
+# tuple is a str.
+_COLUMN_TYPES = ((str, str, str, str, tuple, tuple), (str, str, str), (str, str, str))
+
+
+def _holds(column: tuple, kind: type) -> bool:
+    return (set(map(type, column)) <= {kind}
+            and (kind is str or set(map(type, chain.from_iterable(column))) <= {str}))
+
+
+def _thaw_graph(payload: tuple) -> DependencyGraph:
+    """The graph whose section payload `_freeze_graph` made. A payload of
+    another shape raises ValueError or TypeError."""
+    if not all(len(columns) == len(kinds) and all(map(_holds, columns, kinds))
+               for columns, kinds in zip(payload, _COLUMN_TYPES, strict=True)):
+        raise ValueError("graph section of the wrong shape")
+    kc_columns, io_columns, edge_columns = payload
+    kc_nodes = map(partial(tuple.__new__, KnowledgeCodeNode), zip(*kc_columns, strict=True))
+    io_nodes = map(partial(tuple.__new__, IoNode), zip(*io_columns, strict=True))
+    edges = map(partial(tuple.__new__, Edge), zip(*edge_columns, strict=True))
+    return DependencyGraph(kc_nodes=dict(zip(kc_columns[0], list(kc_nodes))),
+                           io_nodes=dict(zip(io_columns[0], list(io_nodes))),
+                           edges=frozenset(edges))
 
 
 def to_dot(graph: DependencyGraph) -> str:

@@ -18,9 +18,12 @@ Deepening stops after the first level that pruned nothing, at the path
 cap, or when the next expansion would take the search past `_MAX_SCANS`
 neighbour scans. Search work is counted in scans, one per neighbour an
 expansion fetches, because each expansion scans every neighbour of its
-node: a budget of expansions bounds nothing on a node of high degree. The
-traversal adjacency is built once per graph, which is read-only, as a
-`TraversalIndex`.
+node: a budget of expansions bounds nothing on a node of high degree.
+The paths kept are bounded the same way, on a count of their own: the
+search stops before the path that would take the nodes of the kept
+paths past `_MAX_SCANS`, since a path found at the last level costs no
+scan. The traversal adjacency is built once per graph, which is
+read-only, as a `TraversalIndex`.
 
 A search that has scanned twice as many neighbours as the graph has edges
 (at most half the budget, so the switch comes first on any graph)
@@ -32,15 +35,18 @@ distance table is refilled over the sources, the targets and the blocks
 on tree paths from a source's successor to a target's predecessor, the
 adjacency is cut to that set, and the walk goes on from where it is; the
 same distance test then prunes every other node that a walk begun before
-the switch still scans. The blocks are found once per index, in O(V + E),
-so cheap searches never pay for them. Paths and their order do not
-change, since no simple path leaves those blocks.
+the switch still scans. The blocks are found once per graph, in
+O(V + E), so cheap searches never pay for them, and the blocks between
+the ends are found by climbing the tree from the marked nodes only.
+Paths and their order do not change, since no simple path leaves those
+blocks.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property, partial
+from functools import partial
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -55,7 +61,7 @@ from .tagger import TagSet
 # count is 22 145, by a `cli` gold question: 22 061 up to the expansion, of
 # a hub of ~3 000 neighbours, at which the block filter switches on (its
 # graph has 10 101 edges), the rest over move lists cut to its entry's
-# block.
+# block. It bounds the nodes of the kept paths too, counted apart.
 _MAX_SCANS = 1_000_000
 
 _EDGE_KINDS = tuple(sorted(EDGE_TYPES))
@@ -113,7 +119,9 @@ class SearchStats(SimpleNamespace):
     search; in the level where the block filter switches on, steps pruned
     before the switch count by their distance in the whole graph.
     `truncated_by_budget`: the next expansion would have passed
-    `_MAX_SCANS` scans, so the paths are a prefix of the full answer."""
+    `_MAX_SCANS` scans, or the next path would have taken the nodes of
+    the kept paths past `_MAX_SCANS`, so the paths are a prefix of the
+    full answer."""
 
     def __init__(self, nodes_expanded: int = 0, edges_scanned: int = 0, paths_found: int = 0,
                  truncated_by_paths: bool = False, truncated_by_depth: bool = False,
@@ -161,33 +169,51 @@ def _callees(moves: dict[str, tuple[str, ...]], edges: frozenset[Edge],
                  if (node, neighbor, CALL) in edges)
 
 
+def _adjacency_holds(adjacency: object, kind: type) -> bool:
+    """Whether `adjacency` maps strings to `kind`s of strings."""
+    return (type(adjacency) is dict and set(map(type, adjacency)) <= {str}
+            and set(map(type, adjacency.values())) <= {kind}
+            and set(map(type, chain.from_iterable(adjacency.values()))) <= {str})
+
+
 class TraversalIndex:
     """Traversal adjacency of one edge set: `moves` maps a node to its
     walkable neighbours, sorted; `preds` maps a node to the nodes that can
     step onto it. Two memos fill in on first use: `steps` maps a step
     (node, neighbour) to its `PathEdge`, and `callees` maps a node to the
     neighbours it calls. They hold the edges and moves, never the index,
-    so that dropping the graph frees the index without the collector.
-    `blocks`, for the block filter, is built on first use."""
+    so that dropping the graph frees the index without the collector."""
 
-    def __init__(self, edges: frozenset[Edge]):
+    def __init__(self, edges: frozenset[Edge], moves: dict[str, tuple[str, ...]],
+                 preds: dict[str, list[str]]):
+        self.edges = edges
+        self.moves = moves
+        self.preds = preds
+        self.steps: dict[tuple[str, str], PathEdge] = _Memo(partial(_walked_edge, edges))
+        self.callees: dict[str, tuple[str, ...]] = _Memo(partial(_callees, moves, edges))
+
+    @classmethod
+    def build(cls, graph: DependencyGraph) -> TraversalIndex:
         moves: dict[str, list[str]] = defaultdict(list)
         preds: dict[str, list[str]] = defaultdict(list)
-        for src, dst, kind in edges:
+        for src, dst, kind in graph.edges:
             moves[src].append(dst)
             preds[dst].append(src)
             if kind == CALL:
                 moves[dst].append(src)
                 preds[src].append(dst)
-        self.edges = edges
-        self.moves = {node: tuple(sorted(set(nodes))) for node, nodes in moves.items()}
-        self.preds = dict(preds)
-        self.steps: dict[tuple[str, str], PathEdge] = _Memo(partial(_walked_edge, edges))
-        self.callees: dict[str, tuple[str, ...]] = _Memo(partial(_callees, self.moves, edges))
+        return cls(graph.edges, {node: tuple(sorted(set(nodes))) for node, nodes in moves.items()},
+                   dict(preds))
 
-    @cached_property
-    def blocks(self) -> BlockTree:
-        return BlockTree.build(self.moves, self.preds)
+    def freeze(self) -> tuple[dict, dict]:
+        return self.moves, self.preds
+
+    @classmethod
+    def thaw(cls, graph: DependencyGraph, payload: tuple[dict, dict]) -> TraversalIndex:
+        moves, preds = payload
+        if not (_adjacency_holds(moves, tuple) and _adjacency_holds(preds, list)):
+            raise ValueError("traversal section of the wrong shape")
+        return cls(graph.edges, moves, preds)
 
 
 class BlockTree(NamedTuple):
@@ -195,17 +221,24 @@ class BlockTree(NamedTuple):
     (a move in and a move out), as the block-cut tree rooted at one node
     per connected component. `members` lists each block's nodes with its
     head, the node it hangs from, last; a block comes after every block
-    below it. `roots` gives each block's component root."""
+    below it. `roots` gives each block's component root, and `parent`
+    each node but a root the block it is a member of below that block's
+    head: its parent in the tree."""
 
     members: tuple[tuple[str, ...], ...]
     roots: tuple[str, ...]
+    parent: dict[str, int]
 
     @classmethod
-    def build(cls, moves: dict[str, tuple[str, ...]], preds: dict[str, list[str]]) -> BlockTree:
-        """Hopcroft-Tarjan, with an explicit stack instead of recursion."""
+    def build(cls, graph: DependencyGraph) -> BlockTree:
+        """Hopcroft-Tarjan, with an explicit stack instead of recursion,
+        over the graph's traversal index."""
+        index = traversal_index(graph)
+        moves, preds = index.moves, index.preds
         interior = moves.keys() & preds.keys()
         members: list[tuple[str, ...]] = []
         roots: list[str] = []
+        parent: dict[str, int] = {}
         order: dict[str, int] = {}
         low: dict[str, int] = {}
         for root in interior:
@@ -233,41 +266,84 @@ class BlockTree(NamedTuple):
                         head = walk[-1][0]
                         low[head] = min(low[head], low[node])
                         if low[node] >= order[head]:
-                            members.append((*stack[place:], head))
+                            block = (*stack[place:], head)
+                            parent.update(dict.fromkeys(block[:-1], len(members)))
+                            members.append(block)
                             roots.append(root)
                             del stack[place:]
-        return cls(members=tuple(members), roots=tuple(roots))
+        return cls(members=tuple(members), roots=tuple(roots), parent=parent)
+
+    def freeze(self) -> tuple:
+        return tuple(self)
+
+    @classmethod
+    def thaw(cls, graph: DependencyGraph, payload: tuple) -> BlockTree:
+        members, roots, parent = payload
+        if not (type(members) is tuple and set(map(type, members)) <= {tuple}
+                and set(map(type, chain.from_iterable(members))) <= {str}
+                and type(roots) is tuple and set(map(type, roots)) <= {str}
+                and len(roots) == len(members) and type(parent) is dict
+                and set(map(type, parent)) <= {str} and set(map(type, parent.values())) <= {int}):
+            raise ValueError("block section of the wrong shape")
+        return cls(members, roots, parent)
 
     def between(self, starts: set[str], ends: set[str]) -> set[str]:
         """The nodes of every block on a tree path from a node of `starts`
-        to a node of `ends`, plus the nodes in both sets."""
-        # Marks below each node, counted children first: a vertex's count
-        # covers the blocks that hang from it, a root's its whole component.
-        up_starts = dict.fromkeys(starts, 1)
-        up_ends = dict.fromkeys(ends, 1)
-        for *rest, head in self.members:
-            up_starts[head] = up_starts.get(head, 0) + sum(up_starts.get(node, 0) for node in rest)
-            up_ends[head] = up_ends.get(head, 0) + sum(up_ends.get(node, 0) for node in rest)
+        to a node of `ends`, plus the nodes in both sets.
+
+        Only the tree paths up from the marked nodes are walked. A node
+        carries marks when it is marked or heads a block that a climb
+        touched; each touched block lists its members that carry marks."""
+        members, parent = self.members, self.parent
+        carriers: dict[int, list[str]] = {}  # touched block -> its members that carry marks
+        climb = list(starts | ends)
+        carrying = set(climb)
+        for node in climb:  # grows as heads are met: each node once
+            block = parent.get(node)
+            if block is None:
+                continue
+            carriers.setdefault(block, []).append(node)
+            head = members[block][-1]
+            if head not in carrying:
+                carrying.add(head)
+                climb.append(head)
+        # Marks at or below each node that carries some, as (starts, ends),
+        # summed children first: a block comes after every block below it,
+        # so a head's sum is whole before its own block is summed, and a
+        # root's covers its whole component.
+        below = {node: (node in starts, node in ends) for node in carrying}
+        for block in sorted(carriers):
+            head = members[block][-1]
+            head_starts, head_ends = below[head]
+            for node in carriers[block]:
+                node_starts, node_ends = below[node]
+                head_starts += node_starts
+                head_ends += node_ends
+            below[head] = head_starts, head_ends
         # A block is on such a path when the subtree below one of its
         # members holds a start and an end lies outside it, or the reverse.
         allowed = starts & ends
-        for block, root in zip(self.members, self.roots):
-            total_starts, total_ends = up_starts.get(root, 0), up_ends.get(root, 0)
-            for node in block[:-1]:
-                below_starts, below_ends = up_starts.get(node, 0), up_ends.get(node, 0)
+        for block, nodes in carriers.items():
+            total_starts, total_ends = below[self.roots[block]]
+            for node in nodes:
+                below_starts, below_ends = below[node]
                 if (below_starts and total_ends - below_ends
                         or below_ends and total_starts - below_starts):
-                    allowed.update(block)
+                    allowed.update(members[block])
                     break
         return allowed
 
 
 def traversal_index(graph: DependencyGraph) -> TraversalIndex:
     """The graph's traversal index, built on first use."""
-    index = graph.cache.get("traversal")
-    if index is None:
-        index = graph.cache["traversal"] = TraversalIndex(graph.edges)
-    return index
+    return graph.derived("traversal", TraversalIndex.build, TraversalIndex.freeze,
+                         TraversalIndex.thaw)
+
+
+def block_tree(graph: DependencyGraph) -> BlockTree:
+    """The graph's block tree, built on first use: only a search that
+    switches the block filter on asks for it."""
+    return graph.derived("blocks", BlockTree.build, BlockTree.freeze, BlockTree.thaw)
 
 
 def _filter_point(index: TraversalIndex) -> float:
@@ -280,14 +356,16 @@ def _filter_point(index: TraversalIndex) -> float:
 
 
 class _BudgetSpent(Exception):
-    """The next expansion would have passed `_MAX_SCANS` scans."""
+    """The next expansion would have passed `_MAX_SCANS` scans, or the next
+    path `_MAX_SCANS` kept path nodes."""
 
 
 class _Search:
     """State shared by the deepening levels of one `find_paths` call."""
 
-    def __init__(self, index: TraversalIndex, sources: list[str], targets: set[str]):
-        self.index = index
+    def __init__(self, graph: DependencyGraph, sources: list[str], targets: set[str]):
+        self.graph = graph
+        self.index = index = traversal_index(graph)
         # The pruned walk's adjacency: the index's, cut to the allowed
         # nodes once the block filter is on.
         self.moves = index.moves
@@ -296,6 +374,8 @@ class _Search:
         self.targets = targets
         # Work so far; `walks` counts in locals and writes them back.
         self.expanded = self.scanned = 0
+        # The nodes of the paths found so far.
+        self.kept = 0
         # Scans that the walk may not pass: the budget, or earlier the
         # filter point.
         self.stop_at = min(_MAX_SCANS, _filter_point(index))
@@ -335,7 +415,7 @@ class _Search:
         moves, preds = self.index.moves, self.index.preds
         starts = {node for source in self.sources for node in moves.get(source, ())}
         ends = {node for target in self.targets for node in preds.get(target, ())}
-        allowed = self.index.blocks.between(starts, ends)
+        allowed = block_tree(self.graph).between(starts, ends)
         allowed.update(self.sources, self.targets)
         self.moves = {node: tuple(filter(allowed.__contains__, moves[node]))
                       for node in allowed & moves.keys()}
@@ -415,6 +495,9 @@ def _deepen(search: _Search, length: int, limits: RetrievalLimits,
         if len(found) == limits.max_paths:
             stats.truncated_by_paths = True
             return True
+        if search.kept + len(nodes) > _MAX_SCANS:
+            raise _BudgetSpent
+        search.kept += len(nodes)
         found.append(nodes)
     if len(found) == limits.max_paths:
         # Truncated if a walk of this length that misses every target
@@ -441,8 +524,8 @@ def find_paths(
 
     Returned shortest first; equal-length paths are ordered by node-id
     sequence. A source that is also a target starts no path. The search
-    stops at `max_paths` paths or at `_MAX_SCANS` neighbour scans and
-    records why on `stats`.
+    stops at `max_paths` paths, at `_MAX_SCANS` neighbour scans or at
+    `_MAX_SCANS` nodes of the paths found, and records why on `stats`.
     """
     source_ids = sorted(set(sources))
     target_ids = set(targets)
@@ -452,8 +535,7 @@ def find_paths(
     if stats is None:
         stats = SearchStats()
 
-    index = traversal_index(graph)
-    search = _Search(index, source_ids, target_ids)
+    search = _Search(graph, source_ids, target_ids)
     found: list[tuple[str, ...]] = []
     try:
         for length in range(1, limits.max_depth + 1):
@@ -467,7 +549,7 @@ def find_paths(
     stats.nodes_expanded += search.expanded
     stats.edges_scanned += search.scanned
     stats.paths_found = len(found)
-    step = index.steps.__getitem__
+    step = search.index.steps.__getitem__
     return [tuple.__new__(DependencyPath, (nodes, tuple(map(step, zip(nodes, nodes[1:])))))
             for nodes in found]
 

@@ -203,6 +203,32 @@ def oracle_reachable(graph: DependencyGraph, start: str) -> set[str]:
     return seen
 
 
+def oracle_between(members: Sequence[tuple[str, ...]], roots: Sequence[str],
+                   starts: set[str], ends: set[str]) -> set[str]:
+    """The blocks on block-cut-tree paths between `starts` and `ends`, by
+    the bottom-up rule that walks every block: `members` lists each block
+    with its head last, every block after the blocks below it, and
+    `roots` each block's component root. A block is on such a path when
+    the subtree below one of its members holds a start and an end lies
+    outside it in the component, or the reverse. Returns those blocks'
+    nodes, plus the nodes in both sets."""
+    up_starts = dict.fromkeys(starts, 1)
+    up_ends = dict.fromkeys(ends, 1)
+    for *rest, head in members:
+        up_starts[head] = up_starts.get(head, 0) + sum(up_starts.get(node, 0) for node in rest)
+        up_ends[head] = up_ends.get(head, 0) + sum(up_ends.get(node, 0) for node in rest)
+    allowed = starts & ends
+    for block, root in zip(members, roots):
+        total_starts, total_ends = up_starts.get(root, 0), up_ends.get(root, 0)
+        for node in block[:-1]:
+            below_starts, below_ends = up_starts.get(node, 0), up_ends.get(node, 0)
+            if (below_starts and total_ends - below_ends
+                    or below_ends and total_starts - below_starts):
+                allowed.update(block)
+                break
+    return allowed
+
+
 def random_premerge_graph(rng: random.Random, max_entries: int = 4, max_funcs: int = 8) -> DependencyGraph:
     """A pre-merge graph with duplicate function names planted across
     fake entries (up to max_entries * max_funcs <= 30 or so nodes)."""

@@ -16,7 +16,7 @@ from sgkr.baselines import evaluate, load_gold, load_vectors
 from sgkr.context import assemble_context
 from sgkr.graph import DependencyGraph, Edge, KnowledgeCodeNode, serialize, validate_graph
 from sgkr.parser import build_trace_fragment
-from sgkr.retriever import RetrievalLimits, retrieve, traversal_index
+from sgkr.retriever import RetrievalLimits, block_tree, retrieve
 from sgkr.tagger import extract_tags
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -91,7 +91,7 @@ def every_record(fee_corpus, fee_graph, fee_vocab):
         fee_graph, next(iter(fee_graph.kc_nodes.values())),
         next(iter(fee_graph.io_nodes.values())), validate_graph(fee_graph),
         fee_vocab, tags, RetrievalLimits(), result, result.paths[0], result.paths[0].edges[0],
-        traversal_index(fee_graph).blocks, assemble_context(result, fee_graph),
+        block_tree(fee_graph), assemble_context(result, fee_graph),
         load_vectors(FIXTURE_DIR / "vectors.txt"), gold[0], report, report.per_question[0][1],
         fragment, fragment.functions[0],
     ]

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FEE_NEEDED, FEE_QUESTION, FEE_UNNEEDED
-from oracles import add_malformed_edges, oracle_bfs_paths, oracle_simple_paths, random_io_graph
+from oracles import (
+    add_malformed_edges,
+    oracle_between,
+    oracle_bfs_paths,
+    oracle_simple_paths,
+    random_io_graph,
+)
 from sgkr import retriever
 from sgkr.context import assemble_context
 from sgkr.errors import UnknownNode
@@ -352,7 +358,7 @@ class TestBlockFilter:
                 (node, nxt) for node in interior for nxt in index.moves[node]
                 if nxt in interior and nxt != node)
             expected = {frozenset(block) for block in nx.biconnected_components(undirected)}
-            assert {frozenset(block) for block in index.blocks.members} == expected
+            assert {frozenset(block) for block in retriever.block_tree(graph).members} == expected
 
     def test_hub_and_spoke_completes_with_filter(self, monkeypatch):
         graph = hub_graph(30)
@@ -391,7 +397,7 @@ class TestBlockFilter:
         paths = find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats)
         assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out")]
         assert not stats.truncated_by_depth
-        assert "blocks" in vars(retriever.traversal_index(graph))
+        assert "blocks" in graph.cache
 
     @pytest.mark.parametrize("filter_point", [*SWITCH_POINTS, None])
     def test_depth_flag_never_misses_a_longer_path(self, monkeypatch, filter_point):
@@ -469,7 +475,7 @@ class TestSearchWork:
         stats = SearchStats()
         assert len(find_paths(graph, ["io:input:start"], ["io:output:end"], stats=stats)) == 1
         assert stats.edges_scanned < 2 * len(graph.edges)
-        assert "blocks" not in vars(retriever.traversal_index(graph))
+        assert "blocks" not in graph.cache
 
     def test_filter_switches_on_before_a_budget_below_twice_the_edges(self, monkeypatch):
         graph = knot_graph(300)
@@ -485,7 +491,7 @@ class TestSearchWork:
         assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out")]
         assert not stats.truncated_by_budget
         assert stats.edges_scanned <= len(graph.edges)
-        assert "blocks" in vars(retriever.traversal_index(graph))
+        assert "blocks" in graph.cache
 
     def test_scans_are_the_move_counts_of_the_expanded_nodes(self, filter_never):
         # The input feeds `a` and `b`; `a` yields the output, and so does
@@ -530,7 +536,7 @@ def on_path_reference(graph, sources, targets):
     index = retriever.traversal_index(graph)
     starts = {node for source in sources for node in index.moves.get(source, ())}
     ends = {node for target in targets for node in index.preds.get(target, ())}
-    return index.blocks.between(starts, ends) & graph.kc_nodes.keys()
+    return retriever.block_tree(graph).between(starts, ends) & graph.kc_nodes.keys()
 
 
 @st.composite
@@ -611,6 +617,102 @@ class TestReferenceSets:
             assert on_path & graph.kc_nodes.keys() == on_path_reference(graph, sources, targets)
 
 
+class TestBetween:
+    """`BlockTree.between` climbs the tree from the marked nodes only; its
+    allowed set is that of the bottom-up rule, which walks every block."""
+
+    @staticmethod
+    def check(graph, starts, ends):
+        tree = retriever.block_tree(graph)
+        assert tree.between(starts, ends) == oracle_between(tree.members, tree.roots, starts, ends)
+
+    @pytest.mark.parametrize("max_kc, calls", [(8, 0.25), (30, 0.06), (30, 0.15)])
+    def test_random_marks_on_random_graphs(self, max_kc, calls):
+        rng = random.Random(8800 + max_kc + int(calls * 100))
+        for case in range(400):
+            graph, _, _ = random_io_graph(rng, max_kc=max_kc, calls=calls)
+            if case % 2:
+                graph = add_malformed_edges(rng, graph, count=rng.randint(1, 6))
+            nodes = sorted([*graph.kc_nodes, *graph.io_nodes, "nowhere"])
+            for _ in range(5):
+                starts = set(rng.sample(nodes, rng.randint(0, min(6, len(nodes)))))
+                ends = set(rng.sample(nodes, rng.randint(0, min(6, len(nodes)))))
+                self.check(graph, starts, ends)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(io_graphs(), st.data())
+    def test_hypothesis_marks(self, case, data):
+        graph = case[0]
+        nodes = st.sets(st.sampled_from(sorted([*graph.kc_nodes, *graph.io_nodes])), max_size=6)
+        self.check(graph, data.draw(nodes), data.draw(nodes))
+
+    def test_hub_graph_marks(self):
+        graph = hub_graph(40)
+        rng = random.Random(8810)
+        nodes = sorted(graph.kc_nodes)
+        for _ in range(200):
+            self.check(graph, set(rng.sample(nodes, rng.randint(1, 8))),
+                       set(rng.sample(nodes, rng.randint(1, 8))))
+
+
+def shared_output_knot(functions, outputs):
+    """`functions` functions, each calling every later one, all yielding
+    the same `outputs` outputs; one input feeds the first. Returns the
+    graph, its input and its outputs."""
+    knot = [f"k{i}" for i in range(functions)]
+    graph = kc_graph(knot, list(itertools.combinations(knot, 2)), feeds=[knot[0]], yields=[])
+    targets = [f"io:output:o{j}" for j in range(outputs)]
+    return graph._replace(
+        io_nodes={"io:input:in": graph.io_nodes["io:input:in"],
+                  **{node_id: IoNode(node_id=node_id, label=node_id[10:], kind=OUTPUT)
+                     for node_id in targets}},
+        edges=graph.edges | {Edge(name, node_id, YIELDS) for name in knot for node_id in targets},
+    ), ["io:input:in"], targets
+
+
+class TestKeptPathBound:
+    """The nodes of the kept paths count against `_MAX_SCANS` on their own:
+    a path found at the last level costs no scan, so on a knot of shared
+    outputs the paths outgrow the scans. The search stops, with
+    `truncated_by_budget`, before the path that would pass the bound."""
+
+    def test_search_stops_before_the_path_that_passes_the_bound(self, monkeypatch,
+                                                                 filter_never):
+        graph, sources, targets = shared_output_knot(5, 20)
+        limits = RetrievalLimits(max_paths=10**8)
+        full_stats = SearchStats()
+        full = find_paths(graph, sources, targets, limits, full_stats)
+        nodes = sum(len(path.nodes) for path in full)
+        bound = nodes // 2
+        assert full_stats.edges_scanned < bound and not full_stats.truncated_by_budget
+        monkeypatch.setattr(retriever, "_MAX_SCANS", bound)
+        stats = SearchStats()
+        kept = find_paths(graph, sources, targets, limits, stats)
+        kept_nodes = sum(len(path.nodes) for path in kept)
+        assert stats.truncated_by_budget and stats.paths_found == len(kept)
+        assert kept == full[:len(kept)]
+        assert kept_nodes <= bound < kept_nodes + len(full[len(kept)].nodes)
+
+    def test_search_at_the_bound_is_unchanged(self, monkeypatch, filter_never):
+        graph, sources, targets = shared_output_knot(5, 20)
+        limits = RetrievalLimits(max_paths=10**8)
+        full_stats = SearchStats()
+        full = find_paths(graph, sources, targets, limits, full_stats)
+        monkeypatch.setattr(retriever, "_MAX_SCANS", sum(len(path.nodes) for path in full))
+        stats = SearchStats()
+        assert find_paths(graph, sources, targets, limits, stats) == full
+        assert stats == full_stats
+
+    def test_retrieve_reports_the_budget(self, monkeypatch):
+        graph, _, _ = shared_output_knot(4, 30)
+        monkeypatch.setattr(retriever, "_MAX_SCANS", 500)
+        tags = TagSet(inputs=frozenset({"in"}),
+                      outputs=frozenset(f"o{j}" for j in range(30)), fallback=False)
+        result = retrieve(graph, tags, RetrievalLimits(max_paths=10**8))
+        assert result.stats.truncated_by_budget
+        assert 0 < sum(len(path.nodes) for path in result.paths) <= 500
+
+
 class TestRetrieve:
     def test_fee_question_exact_subgraph(self, fee_graph, fee_vocab):
         tags = extract_tags(FEE_QUESTION, fee_vocab)
@@ -677,7 +779,7 @@ class TestRetrieve:
             result = retrieve(graph, extract_tags(FEE_QUESTION, fee_vocab))
             assert assemble_context(result, graph).knowledge_texts
             index = retriever.traversal_index(graph)
-            assert index.blocks.members
+            assert retriever.block_tree(graph).members
             assert index.steps and index.callees
             freed = weakref.ref(index)
             del graph, result, index
