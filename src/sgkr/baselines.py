@@ -13,9 +13,11 @@ annotations.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -26,7 +28,7 @@ from .errors import (
     SchemaViolation,
     VectorDimensionMismatch,
 )
-from .graph import DependencyGraph, KnowledgeCodeNode, _ReadOnly
+from .graph import DependencyGraph, KnowledgeCodeNode, _maps_to, _ReadOnly
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -116,13 +118,14 @@ class LexicalRanker:
         ranker._names, ranker._postings, ranker._norms, ranker._idf = state
         return ranker
 
-    def rank(self, question: str) -> list[tuple[str, float]]:
-        """Every function name once, with its score, highest first, ties
-        by name.
+    def rank(self, question: str, k: int | None = None) -> list[tuple[str, float]]:
+        """The first `k` function names (every one, when `k` is None), each
+        once, with its score, highest first, ties by name.
 
         Scores accumulate term by term over the question's postings;
         each document adds its terms in question order from 0.0, as a
-        per-document sum would. A name with no posting scores 0.0."""
+        per-document sum would. A name with no posting scores 0.0, below
+        every scored one."""
         scores: dict[str, float] = {}
         norms = self._norms
         for term in text_tokens(question):
@@ -133,9 +136,12 @@ class LexicalRanker:
             for name, freq in zip(*posting):
                 scores[name] = (scores.get(name, 0.0)
                                 + idf * freq * (BM25_K1 + 1.0) / (freq + norms[name]))
-        ranked = [(name, scores[name]) for name in self._names if name in scores]
-        ranked.sort(key=lambda item: -item[1])  # stable: equal scores stay in name order
-        ranked += [(name, 0.0) for name in self._names if name not in scores]
+        names = self._names
+        count = len(names) if k is None else k
+        ranked = heapq.nsmallest(count, scores.items(), key=_best_first)
+        if len(ranked) < count:
+            ranked += islice(((name, 0.0) for name in names if name not in scores),
+                             count - len(ranked))
         return ranked
 
 
@@ -171,26 +177,59 @@ class VectorStore(_ReadOnly):
         init(self, "vectors", vectors)
         init(self, "_norms", {name: _norm(vector) for name, vector in vectors.items()})
 
+    def freeze(self) -> tuple:
+        return self.dimension, self.vectors, self._norms
+
+    @classmethod
+    def thaw(cls, payload: tuple) -> VectorStore:
+        """The store `freeze` gave `payload`. A payload of another shape
+        raises ValueError or TypeError."""
+        dimension, vectors, norms = payload
+        if not (type(dimension) is int and _maps_to(vectors, tuple, float)
+                and set(map(len, vectors.values())) <= {dimension} and type(norms) is dict
+                and norms.keys() == vectors.keys() and set(map(type, norms.values())) <= {float}):
+            raise ValueError("vector section of the wrong shape")
+        store = cls.__new__(cls)
+        init = object.__setattr__
+        init(store, "dimension", dimension)
+        init(store, "vectors", vectors)
+        init(store, "_norms", norms)
+        return store
+
     def get(self, name: str) -> tuple[float, ...]:
         try:
             return self.vectors[name]
         except KeyError:
             raise MissingVector(f"no vector for {name!r}") from None
 
-    def rank(self, question: str, names: Sequence[str]) -> list[tuple[str, float]]:
-        """`names` with their cosine to the question's vector, highest
-        first, ties by name."""
-        query, query_norm = self.get(question), self._norms[question]
-        scored = [(name, _cosine(query, query_norm, self.get(name), self._norms[name]))
-                  for name in names]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored
+    def rank(self, question: str, names: Sequence[str],
+             k: int | None = None) -> list[tuple[str, float]]:
+        """The first `k` of `names` (all, when `k` is None) with their
+        cosine to the question's vector, highest first, ties by name.
+        Every name must have a vector, ranked or not."""
+        vectors, norms = self.vectors, self._norms
+        query, query_norm = self.get(question), norms[question]
+        mul = operator.mul
+        try:
+            # The cosine is 0.0 when either vector is all zeros.
+            scored = [(name, sum(map(mul, query, vectors[name])) / (query_norm * norm)
+                       if (norm := norms[name]) != 0.0 and query_norm != 0.0 else 0.0)
+                      for name in names]
+        except KeyError:
+            missing = next(name for name in names if name not in norms)
+            raise MissingVector(f"no vector for {missing!r}") from None
+        return heapq.nsmallest(len(scored) if k is None else k, scored, key=_best_first)
 
 
 def load_vectors(path: str | Path) -> VectorStore:
     """Read a vector file: first line the dimension, then one
     ``name<TAB>floats`` record per line."""
-    lines = read_text(Path(path), "vector file").splitlines()
+    return parse_vectors(read_text(Path(path), "vector file"))
+
+
+def parse_vectors(text: str) -> VectorStore:
+    """The vectors of `text`, a vector file's text."""
+    lines = text.splitlines()
     if not lines:
         raise SchemaViolation("vector file is empty")
     try:
@@ -227,10 +266,11 @@ def _norm(vector: Sequence[float]) -> float:
     return math.sqrt(sum(map(operator.mul, vector, vector)))
 
 
-def _cosine(a: Sequence[float], norm_a: float, b: Sequence[float], norm_b: float) -> float:
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return sum(map(operator.mul, a, b)) / (norm_a * norm_b)
+def _best_first(item: tuple[str, float]) -> tuple[float, str]:
+    """The order of a ranking: highest score first, ties by name.
+    `heapq.nsmallest(k, items, key=_best_first)` is
+    `sorted(items, key=_best_first)[:k]`."""
+    return -item[1], item[0]
 
 
 def retrieve_topk(
@@ -245,14 +285,14 @@ def retrieve_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
     if scorer == "lexical":
-        ranked = lexical_ranker(graph).rank(question)
+        ranked = lexical_ranker(graph).rank(question, k)
     elif scorer == "vectors":
         if vectors is None:
             raise ValueError("scorer 'vectors' requires a VectorStore")
-        ranked = vectors.rank(question, sorted_names(graph))
+        ranked = vectors.rank(question, sorted_names(graph), k)
     else:
         raise ValueError(f"unknown scorer {scorer!r}")
-    return [name for name, _ in ranked[:k]]
+    return [name for name, _ in ranked]
 
 
 class GoldAnnotation(NamedTuple):

@@ -12,12 +12,16 @@ import gc
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import context, corpus, graph as graphmod, retriever, tagger
 from .errors import SgkrError
 
 CONFIG_ENV_VAR = "SGKR_CONFIG"
+
+T = TypeVar("T")
 
 _DEFAULTS = {
     "manifest": None,
@@ -51,9 +55,32 @@ def _load_graph(path: str | None) -> graphmod.DependencyGraph:
     return graphmod.load(path)
 
 
+def _from_file(g: graphmod.DependencyGraph, section: str, path: str | None, what: str,
+               make: Callable[[str | None], T], freeze: Callable[[T], object],
+               thaw: Callable[[object], T]) -> T:
+    """`make(text)` of the text of the file at `path`, or `make(None)` when
+    no path is given, kept in the section of the graph document's sidecar
+    whose key covers the document and the file's bytes. A hit reads the
+    file but neither decodes nor checks it again: the key covers every
+    input `make` reads, and a file `make` refuses is never kept."""
+    file = Path(path) if path else None
+    data = corpus.read_bytes(file, what) if file else None
+
+    def build() -> T:
+        return make(None if data is None else corpus.decode_text(data, file))
+
+    if g.sidecar is None:
+        return build()
+    return g.sidecar.joined(data).kept(section, build, freeze, thaw)
+
+
 def _build_vocab(g: graphmod.DependencyGraph, aliases_path: str | None) -> tagger.TagVocabulary:
-    aliases = tagger.load_aliases(aliases_path) if aliases_path else None
-    return tagger.build_vocabulary(g, aliases)
+    def make(text: str | None) -> tagger.TagVocabulary:
+        aliases = None if text is None else tagger.parse_aliases(text, Path(aliases_path))
+        return tagger.build_vocabulary(g, aliases)
+
+    return _from_file(g, "vocabulary", aliases_path, "alias file", make,
+                      tagger.TagVocabulary.freeze, tagger.TagVocabulary.thaw)
 
 
 def _limits(args: argparse.Namespace) -> retriever.RetrievalLimits:
@@ -61,6 +88,17 @@ def _limits(args: argparse.Namespace) -> retriever.RetrievalLimits:
         return retriever.RetrievalLimits(max_depth=args.max_depth, max_paths=args.max_paths)
     except ValueError as exc:
         raise SgkrError(str(exc)) from exc
+
+
+def _write_json(payload: dict, out) -> None:
+    """`payload` as `json.dump(payload, out, indent=2, sort_keys=True)`
+    writes it, and a newline. No string of the whole output is made: the
+    encoder's pieces are joined and written a few thousand at a time, as
+    a write per piece would take three times as long."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    for text in iter(lambda: "".join(islice(pieces, 4096)), ""):
+        out.write(text)
+    out.write("\n")
 
 
 def cmd_build(args: argparse.Namespace, out) -> int:
@@ -102,7 +140,7 @@ def cmd_query(args: argparse.Namespace, out) -> int:
         payload["inputs"] = sorted(tagset.inputs)
         payload["outputs"] = sorted(tagset.outputs)
         payload["retrieved_kc_count"] = len(bundle.knowledge_texts)
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        _write_json(payload, out)
         return 0
 
     if result.fallback:
@@ -149,7 +187,9 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
                 f"{sorted(stray)}"
             )
 
-    vectors = baselines.load_vectors(args.vectors) if args.vectors else None
+    vectors = _from_file(g, "vectors", args.vectors, "vector file", baselines.parse_vectors,
+                         baselines.VectorStore.freeze,
+                         baselines.VectorStore.thaw) if args.vectors else None
 
     def retrieved(method: str, question: str) -> frozenset[str]:
         if method != "sgkr":
@@ -169,9 +209,8 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
         reports[method] = baselines.evaluate(results, gold)
 
     if args.format == "structured":
-        payload = {method: baselines.eval_report_to_dict(report)
-                   for method, report in reports.items()}
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        _write_json({method: baselines.eval_report_to_dict(report)
+                     for method, report in reports.items()}, out)
     else:
         print(baselines.format_eval_table(reports), file=out, end="")
     return 0

@@ -56,7 +56,12 @@ def read_json(path: Path, error: type[SgkrError], what: str) -> object:
     malformed JSON (`JSONDecodeError` is a `ValueError`), an integer past
     the interpreter's digit limit (`ValueError`) and nesting past the
     recursion limit (`RecursionError`)."""
-    text = read_text(path, what)
+    return parse_json(read_text(path, what), path, error, what)
+
+
+def parse_json(text: str, path: Path, error: type[SgkrError], what: str) -> object:
+    """The value of `text`, the JSON file at `path`, as `read_json`
+    reads it."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -137,13 +137,10 @@ class DependencyGraph(_ReadOnly):
         built one's `freeze(value)` is written there."""
         value = self.cache.get(name)
         if value is None:
-            sidecar = self.sidecar if freeze is not None else None
-            if sidecar is not None:
-                value = sidecar.read(name, partial(thaw, self))
-            if value is None:
+            if freeze is None or self.sidecar is None:
                 value = build(self)
-                if sidecar is not None:
-                    sidecar.write(name, freeze(value))
+            else:
+                value = self.sidecar.kept(name, partial(build, self), freeze, partial(thaw, self))
             self.cache[name] = value
         return value
 
@@ -526,6 +523,8 @@ _DOC_FIELDS = {"format_version": object, "kc_nodes": list, "io_nodes": list, "ed
 _kc_values = itemgetter(*_KC_FIELDS)
 _io_node_values = itemgetter(*_IO_NODE_FIELDS)
 _edge_values = itemgetter(*_EDGE_FIELDS)
+# Each edge type to the one string object that spells it.
+_EDGE_TYPE = {kind: kind for kind in EDGE_TYPES}
 
 
 def deserialize(document: str) -> DependencyGraph:
@@ -575,7 +574,10 @@ def deserialize(document: str) -> DependencyGraph:
                 continue
         check(record, _IO_NODE_FIELDS, f"io_nodes[{i}]", SchemaViolation)
         raise SchemaViolation(f"io_nodes[{i}]: bad kind {record['kind']!r}")
-    known = kc_nodes.keys() | io_nodes.keys()
+    # Each node id to its record's own string, which the edges then share:
+    # `json.loads` makes a string per occurrence.
+    known = dict(zip(kc_nodes, kc_nodes))
+    known.update(zip(io_nodes, io_nodes))
     if len(known) < len(raw["kc_nodes"]) + len(raw["io_nodes"]):
         seen: set[str] = set()
         for record in raw["kc_nodes"] + raw["io_nodes"]:
@@ -586,10 +588,12 @@ def deserialize(document: str) -> DependencyGraph:
     edge_keys = _EDGE_FIELDS.keys()
     for i, record in enumerate(raw["edges"]):
         if type(record) is dict and record.keys() == edge_keys:
-            values = src, dst, kind = _edge_values(record)
+            src, dst, kind = _edge_values(record)
             if (type(src) is str and type(dst) is str and type(kind) is str
-                    and kind in EDGE_TYPES and src in known and dst in known):
-                edges.append(tuple.__new__(Edge, values))
+                    and (kind := _EDGE_TYPE.get(kind)) is not None
+                    and (src := known.get(src)) is not None
+                    and (dst := known.get(dst)) is not None):
+                edges.append(tuple.__new__(Edge, (src, dst, kind)))
                 continue
         check(record, _EDGE_FIELDS, f"edges[{i}]", SchemaViolation)
         if record["type"] not in EDGE_TYPES:
@@ -634,6 +638,13 @@ def _freeze_graph(graph: DependencyGraph) -> tuple:
 # The type of each column of the graph section's payload; each item of a
 # tuple is a str.
 _COLUMN_TYPES = ((str, str, str, str, tuple, tuple), (str, str, str), (str, str, str))
+
+
+def _maps_to(mapping: object, kind: type, item: type = str) -> bool:
+    """Whether `mapping` is a dict from strings to `kind`s of `item`s."""
+    return (type(mapping) is dict and set(map(type, mapping)) <= {str}
+            and set(map(type, mapping.values())) <= {kind}
+            and set(map(type, chain.from_iterable(mapping.values()))) <= {item})
 
 
 def _holds(column: tuple, kind: type) -> bool:

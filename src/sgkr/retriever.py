@@ -25,43 +25,46 @@ paths past `_MAX_SCANS`, since a path found at the last level costs no
 scan. The traversal adjacency is built once per graph, which is
 read-only, as a `TraversalIndex`.
 
-A search that has scanned twice as many neighbours as the graph has edges
-(at most half the budget, so the switch comes first on any graph)
-confines itself to the biconnected blocks between its endpoints (Hopcroft
-& Tarjan 1973). Take the undirected graph over the interior nodes, those
-with a move in and a move out: every simple path between two of its nodes
-stays inside the blocks on the block-cut-tree path between them. So the
-distance table is refilled over the sources, the targets and the blocks
-on tree paths from a source's successor to a target's predecessor, the
-adjacency is cut to that set, and the walk goes on from where it is; the
+A search may confine itself to the biconnected blocks between its
+endpoints (Hopcroft & Tarjan 1973). Take the undirected graph over the
+interior nodes, those with a move in and a move out: every simple path
+between two of its nodes stays inside the blocks on the block-cut-tree
+path between them. Confined, a search's distance table covers only the
+sources, the targets and the blocks on tree paths from a source's
+successor to a target's predecessor, and its adjacency is cut to that
+set. The blocks are found once per graph, in O(V + E), and the blocks
+between the ends by climbing the tree from the marked nodes only. Before
+its first expansion a search confines itself at once when one of its
+ends' components splits into more than one block; the split components
+are counted once per graph, so the decision costs a lookup per component
+the ends touch. Any other search confines itself once it has scanned
+twice as many neighbours as the graph has edges (at most half the
+budget, so the switch comes first on any graph): the distance table is
+refilled, the adjacency cut, and the walk goes on from where it is; the
 same distance test then prunes every other node that a walk begun before
-the switch still scans. The blocks are found once per graph, in
-O(V + E), so cheap searches never pay for them, and the blocks between
-the ends are found by climbing the tree from the marked nodes only.
-Paths and their order do not change, since no simple path leaves those
-blocks.
+the switch still scans. Paths and their order do not change, since no
+simple path leaves those blocks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import UnknownNode
-from .graph import CALL, EDGE_TYPES, INPUT, OUTPUT, DependencyGraph, Edge
+from .graph import CALL, EDGE_TYPES, INPUT, OUTPUT, DependencyGraph, Edge, _maps_to
 from .tagger import TagSet
 
 
 # Neighbour scans a search may make; it stops before the expansion that
 # would pass them. It bounds the work of a question on a dense call knot.
 # On the fee corpus and the benchmark workloads (seeds 0-99) the largest
-# count is 22 145, by a `cli` gold question: 22 061 up to the expansion, of
-# a hub of ~3 000 neighbours, at which the block filter switches on (its
-# graph has 10 101 edges), the rest over move lists cut to its entry's
-# block. It bounds the nodes of the kept paths too, counted apart.
+# count is 1 691, by a `query` question (seed 31); the `cli` questions,
+# confined from the start, scan at most 344. It bounds the nodes of the
+# kept paths too, counted apart.
 _MAX_SCANS = 1_000_000
 
 _EDGE_KINDS = tuple(sorted(EDGE_TYPES))
@@ -169,13 +172,6 @@ def _callees(moves: dict[str, tuple[str, ...]], edges: frozenset[Edge],
                  if (node, neighbor, CALL) in edges)
 
 
-def _adjacency_holds(adjacency: object, kind: type) -> bool:
-    """Whether `adjacency` maps strings to `kind`s of strings."""
-    return (type(adjacency) is dict and set(map(type, adjacency)) <= {str}
-            and set(map(type, adjacency.values())) <= {kind}
-            and set(map(type, chain.from_iterable(adjacency.values()))) <= {str})
-
-
 class TraversalIndex:
     """Traversal adjacency of one edge set: `moves` maps a node to its
     walkable neighbours, sorted; `preds` maps a node to the nodes that can
@@ -211,7 +207,7 @@ class TraversalIndex:
     @classmethod
     def thaw(cls, graph: DependencyGraph, payload: tuple[dict, dict]) -> TraversalIndex:
         moves, preds = payload
-        if not (_adjacency_holds(moves, tuple) and _adjacency_holds(preds, list)):
+        if not (_maps_to(moves, tuple) and _maps_to(preds, list)):
             raise ValueError("traversal section of the wrong shape")
         return cls(graph.edges, moves, preds)
 
@@ -341,18 +337,34 @@ def traversal_index(graph: DependencyGraph) -> TraversalIndex:
 
 
 def block_tree(graph: DependencyGraph) -> BlockTree:
-    """The graph's block tree, built on first use: only a search that
-    switches the block filter on asks for it."""
+    """The graph's block tree, built on first use."""
     return graph.derived("blocks", BlockTree.build, BlockTree.freeze, BlockTree.thaw)
 
 
 def _filter_point(index: TraversalIndex) -> float:
-    """Scans after which a search switches the block filter on: twice the
-    edge count, at most half the budget, so that the filter switches on
-    before the budget runs out. With the switch at the edge count, most
-    searches of the benchmark's `query` workload would switch it on and
-    pay for its allowed set; at twice the edge count, none does."""
+    """Scans after which a search not confined from the start switches the
+    block filter on: twice the edge count, at most half the budget, so
+    that the filter switches on before the budget runs out."""
     return min(2 * len(index.edges), _MAX_SCANS // 2)
+
+
+def _confined_at_once(graph: DependencyGraph, marked: set[str]) -> bool:
+    """Whether a search confines itself to the blocks between its ends
+    from its first expansion: when a node of `marked` lies in a component
+    of more than one block. A node's component is that of the block it
+    hangs in, or the one it roots; the split components are counted once
+    per graph, so each search looks up only its own nodes."""
+    tree = block_tree(graph)
+    roots, parent = tree.roots, tree.parent
+    split = graph.derived("split", _split_components)
+    return not split.isdisjoint(roots[parent[node]] if node in parent else node
+                                for node in marked)
+
+
+def _split_components(graph: DependencyGraph) -> set[str]:
+    """The roots of the components of more than one block."""
+    counts = Counter(block_tree(graph).roots)
+    return {root for root, count in counts.items() if count > 1}
 
 
 class _BudgetSpent(Exception):
@@ -376,9 +388,6 @@ class _Search:
         self.expanded = self.scanned = 0
         # The nodes of the paths found so far.
         self.kept = 0
-        # Scans that the walk may not pass: the budget, or earlier the
-        # filter point.
-        self.stop_at = min(_MAX_SCANS, _filter_point(index))
         # Walk distance to the nearest target, known up to `reach`; `layer`
         # holds the nodes at distance `reach` and is empty once every node
         # that reaches a target has its distance. `goal` is the reach the
@@ -389,6 +398,17 @@ class _Search:
         # Set by a level that ran to its end: a step was pruned, or may
         # have been (its distance is not known yet).
         self.pruned = False
+        # Every simple path runs from a source's successor to a target's
+        # predecessor, within the blocks between them or through a node of
+        # both kinds.
+        self.starts = {node for source in sources for node in self.moves.get(source, ())}
+        self.ends = {node for target in targets for node in self.preds.get(target, ())}
+        # Scans that the walk may not pass: the budget, or earlier the
+        # filter point of a search not confined from the start.
+        if _confined_at_once(graph, self.starts | self.ends):
+            self.confine()
+        else:
+            self.stop_at = min(_MAX_SCANS, _filter_point(index))
 
     def extend(self, goal: float) -> None:
         """Know every distance up to `goal`, one backward layer at a time."""
@@ -404,18 +424,13 @@ class _Search:
                         layer.append(pred)
             self.layer = layer
 
-    def stop(self, scanned: int) -> tuple[float, bool]:
-        """The walk's exit at an expansion that would pass `stop_at`, to
-        `scanned` scans: past the budget, end the search before it. Else
-        switch the block filter on, cutting `moves` and `preds` to the
-        allowed nodes and refilling `dist` in place with the distances
-        within the blocks, and give the walk its new `stop_at` and `unsure`."""
-        if scanned > _MAX_SCANS:
-            raise _BudgetSpent
+    def confine(self) -> None:
+        """Switch the block filter on: cut `moves` and `preds` to the
+        sources, the targets and the blocks between `starts` and `ends`,
+        refill `dist` in place with the distances within them, and lift
+        `stop_at` to the budget."""
         moves, preds = self.index.moves, self.index.preds
-        starts = {node for source in self.sources for node in moves.get(source, ())}
-        ends = {node for target in self.targets for node in preds.get(target, ())}
-        allowed = block_tree(self.graph).between(starts, ends)
+        allowed = block_tree(self.graph).between(self.starts, self.ends)
         allowed.update(self.sources, self.targets)
         self.moves = {node: tuple(filter(allowed.__contains__, moves[node]))
                       for node in allowed & moves.keys()}
@@ -426,6 +441,15 @@ class _Search:
         self.dist.update(dict.fromkeys(self.targets, 0))
         self.layer, self.reach = list(self.targets), 0
         self.extend(self.goal)
+
+    def stop(self, scanned: int) -> tuple[float, bool]:
+        """The walk's exit at an expansion that would pass `stop_at`, to
+        `scanned` scans: past the budget, end the search before it. Else
+        switch the block filter on, and give the walk its new `stop_at`
+        and `unsure`."""
+        if scanned > _MAX_SCANS:
+            raise _BudgetSpent
+        self.confine()
         return self.stop_at, bool(self.layer)
 
     def walks(self, length: int, prune: bool = True) -> Iterator[tuple[str, ...]]:

@@ -3,12 +3,17 @@
 The CLI reads its graph document with `graph.load`. Beside the document,
 in `__sgkrcache__/`, it keeps one file per structure derived from it, the
 way `__pycache__` keeps compiled modules (PEP 3147): the parsed graph,
-the traversal index, the block tree and the lexical ranker's state. A
-file is named after the document and its section, and holds a key and a
-`marshal` payload. The key is the sha256 of the document's bytes, of
-sgkr's module files, of the interpreter's cache tag and of the marshal
-version; a changed document, a changed sgkr or another interpreter finds
-no match, and its command builds the structure from the document again.
+the traversal index, the block tree, the lexical ranker's state, and
+the two structures derived from the document and one more input file,
+the tag vocabulary (with the alias file) and the vector store (with the
+vector file). A file is named after the document and its section, and
+holds a key and a `marshal` payload. The key is the sha256 of the
+document's bytes, of sgkr's module files, of the interpreter's cache tag
+and of the marshal version; a changed document, a changed sgkr or
+another interpreter finds no match, and its command builds the structure
+from the document again. The key of a section that one more file feeds
+is the sha256 of that key and of the file's digest, or of a marker no
+digest equals when no such file is given (`joined`).
 
 A file is trusted only when all of these hold: it is opened without
 following a symlink; it is a regular file owned by the effective user
@@ -64,6 +69,26 @@ class Sidecar:
         self.directory = path.parent / DIRECTORY
         self.stem = path.name
         self.key = hashlib.sha256(_code() + hashlib.sha256(data).digest()).digest()
+
+    def joined(self, data: bytes | None) -> Sidecar:
+        """The sidecar of the structures derived from the document and one
+        more input file, whose bytes are `data`, or None when no such file
+        is given: the same files, under a key that covers both."""
+        side = object.__new__(Sidecar)
+        side.directory, side.stem = self.directory, self.stem
+        digest = b"no file" if data is None else hashlib.sha256(data).digest()
+        side.key = hashlib.sha256(self.key + digest).digest()
+        return side
+
+    def kept(self, section: str, build: Callable[[], T], freeze: Callable[[T], object],
+             thaw: Callable[[object], T]) -> T:
+        """`thaw` of the section's payload when it is trusted; else
+        `build()`, kept as the section's `freeze` of it."""
+        value = self.read(section, thaw)
+        if value is None:
+            value = build()
+            self.write(section, freeze(value))
+        return value
 
     def read(self, section: str, thaw: Callable[[object], T]) -> T | None:
         """`thaw` of the section's payload, or None when the section is

@@ -18,13 +18,14 @@ of trying every pattern longest first, ties lexically, left to right.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .corpus import check, label_tokens, normalize_label, read_json
+from .corpus import check, label_tokens, normalize_label, parse_json, read_text
 from .errors import AliasCollision, SchemaViolation
-from .graph import INPUT, OUTPUT, DependencyGraph, _ReadOnly
+from .graph import INPUT, OUTPUT, DependencyGraph, _maps_to, _ReadOnly
 
 
 # One kind's compiled matcher: (width, {token tuple: label}) pairs, the
@@ -47,6 +48,40 @@ class TagVocabulary(_ReadOnly):
         init(self, "outputs", MappingProxyType(dict(outputs)))
         init(self, "_tables", (_compile(self.inputs), _compile(self.outputs)))
 
+    def freeze(self) -> tuple:
+        return dict(self.inputs), dict(self.outputs), self._tables
+
+    @classmethod
+    def thaw(cls, payload: tuple) -> TagVocabulary:
+        """The vocabulary `freeze` gave `payload`. A payload of another
+        shape raises ValueError or TypeError."""
+        inputs, outputs, tables = payload
+        if not (_maps_to(inputs, tuple) and _maps_to(outputs, tuple) and type(tables) is tuple
+                and len(tables) == 2 and all(map(_tables_hold, tables))):
+            raise ValueError("vocabulary section of the wrong shape")
+        vocab = cls.__new__(cls)
+        init = object.__setattr__
+        init(vocab, "inputs", MappingProxyType(inputs))
+        init(vocab, "outputs", MappingProxyType(outputs))
+        init(vocab, "_tables", tables)
+        return vocab
+
+
+def _tables_hold(tables: object) -> bool:
+    """Whether `tables` are one kind's compiled tables: (width, table)
+    pairs, the widest first, each table mapping tuples of `width` strings
+    to a string."""
+    if type(tables) is not tuple or not set(map(type, tables)) <= {tuple}:
+        return False
+    widths = [pair[0] if len(pair) == 2 else None for pair in tables]
+    return (set(map(type, widths)) <= {int} and widths == sorted(set(widths), reverse=True)
+            and min(widths, default=1) >= 1
+            and all(type(table) is dict and set(map(type, table)) <= {tuple}
+                    and set(map(len, table)) <= {width}
+                    and set(map(type, chain.from_iterable(table))) <= {str}
+                    and set(map(type, table.values())) <= {str}
+                    for width, table in tables))
+
 
 class TagSet(NamedTuple):
     inputs: frozenset[str]
@@ -59,7 +94,13 @@ _ALIAS_FIELDS = {"label": str, "kind": str}
 
 def load_aliases(path: str | Path) -> dict[str, dict[str, str]]:
     """Read an alias file: a JSON object mapping alias -> {label, kind}."""
-    raw = read_json(Path(path), SchemaViolation, "alias file")
+    path = Path(path)
+    return parse_aliases(read_text(path, "alias file"), path)
+
+
+def parse_aliases(text: str, path: Path) -> dict[str, dict[str, str]]:
+    """The aliases of `text`, the alias file at `path`."""
+    raw = parse_json(text, path, SchemaViolation, "alias file")
     if type(raw) is not dict:
         raise SchemaViolation("alias file must be a JSON object")
     for alias, target in raw.items():

@@ -23,6 +23,7 @@ from sgkr.baselines import (
     EvalReport,
     GoldAnnotation,
     LexicalRanker,
+    VectorStore,
     code_identifier_tokens,
     eval_report_to_dict,
     evaluate,
@@ -73,6 +74,12 @@ SPECIAL = ["İ", "ß", "ẞ", "Σ", "ς", "²", "٣", "٤٥", "ﬁ", "e\u0301", 
            "_", "__", "___", "def", "DEF", "Return", "pass", "None", "10000", "x2", "Ǆ"]
 WORDISH = st.lists(st.one_of(st.sampled_from(SPECIAL), st.text(max_size=3),
                              st.sampled_from(sorted(KEYWORDS))), max_size=6).map("".join)
+# (name, knowledge, code) of up to 8 nodes: names repeat, documents can be
+# empty.
+NODE_SPECS = st.lists(st.tuples(st.sampled_from(["alpha", "beta", "gamma", "f_1", "İx", "ß"]),
+                                st.lists(WORDISH, max_size=6).map(" ".join),
+                                st.lists(WORDISH, max_size=8).map(" ".join)),
+                      max_size=8)
 
 
 def small_graph(*nodes):
@@ -205,13 +212,8 @@ class TestAgainstOracleRanker:
             assert lexical_ranker(fee_graph).rank(question) == oracle_bm25_rank(nodes, question)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(st.tuples(st.sampled_from(["alpha", "beta", "gamma", "f_1", "İx", "ß"]),
-                           st.lists(WORDISH, max_size=6).map(" ".join),
-                           st.lists(WORDISH, max_size=8).map(" ".join)),
-                 max_size=8),
-        st.lists(st.lists(WORDISH, max_size=6).map(" ".join), min_size=1, max_size=3),
-    )
+    @given(NODE_SPECS,
+           st.lists(st.lists(WORDISH, max_size=6).map(" ".join), min_size=1, max_size=3))
     def test_random_node_sets(self, specs, questions):
         """Names repeat, documents can be empty, and the question's terms
         can repeat or be absent from every document."""
@@ -359,6 +361,45 @@ class TestRetrieveTopk:
             assert len(retrieve_topk(FEE_QUESTION, fee_graph, k)) == k
             assert len(retrieve_topk(FEE_QUESTION, fee_graph, k,
                                      scorer="vectors", vectors=vectors)) == k
+
+
+# Few distinct components, so that zero vectors and tied cosines are common.
+VECTORS = st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]),
+                          st.tuples(*[st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0])] * 3),
+                          max_size=7)
+
+
+class TestTopK:
+    """A ranker asked for `k` names gives the first `k` of its full
+    ranking, and the full ranking is the oracle's, floats compared with
+    `==`; `k` may exceed the name count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(NODE_SPECS, st.lists(WORDISH, max_size=6).map(" ".join), st.integers(0, 10))
+    def test_lexical(self, specs, question, k):
+        nodes = [KnowledgeCodeNode(node_id=f"kc:e{i}:{name}", function_name=name, code=code,
+                                   knowledge=knowledge, origin_entries=(f"e{i}",))
+                 for i, (name, knowledge, code) in enumerate(specs)]
+        ranker = LexicalRanker(nodes)
+        full = distinct(oracle_bm25_rank(nodes, question))
+        assert ranker.rank(question) == full
+        assert ranker.rank(question, k) == full[:k]
+
+    @settings(max_examples=150, deadline=None)
+    @given(VECTORS, st.tuples(*[st.sampled_from([0.0, 1.0, -2.0, 0.5])] * 3),
+           st.integers(0, 10))
+    def test_vectors(self, vectors, query, k):
+        store = VectorStore(3, {**vectors, "q": query})
+        names = sorted(vectors)
+        full = sorted(((name, retired_cosine(query, vectors[name])) for name in names),
+                      key=lambda item: (-item[1], item[0]))
+        assert [(name, score.hex()) for name, score in store.rank("q", names)] == \
+            [(name, score.hex()) for name, score in full]
+        assert store.rank("q", names, k) == full[:k]
+        with pytest.raises(MissingVector, match="^no vector for 'absent'$"):
+            store.rank("q", [*names, "absent"], 1)
+        with pytest.raises(MissingVector, match="^no vector for 'absent'$"):
+            store.rank("absent", names, 1)
 
 
 class TestVectors:

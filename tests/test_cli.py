@@ -11,6 +11,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FEE_QUESTION, FIXTURE_DIR
 from sgkr import cli, retriever, tagger
@@ -206,6 +207,21 @@ class TestQuery:
         assert "def " not in captured.out
         assert FUNCTIONS_HEADER in captured.out
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                        | st.text(max_size=5),
+                        lambda children: st.lists(children, max_size=4)
+                        | st.dictionaries(st.text(max_size=3), children, max_size=4),
+                        max_leaves=40),
+           st.integers(0, 3000))
+    def test_structured_writer_is_json_dumps(self, value, width):
+        # `width` items give the encoder up to ~6 000 pieces, which it
+        # writes in more than one batch.
+        payload = {"value": value, "items": list(range(width))}
+        out = io.StringIO()
+        cli._write_json(payload, out)
+        assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_structured_output(self, graph_path, capsys):
         code = main(["query", "--graph", graph_path, "--aliases", ALIASES,
                      "--question", FEE_QUESTION, "--format", "structured"])
@@ -357,7 +373,8 @@ class TestEval:
         assert main(argv + ["sgkr,lexical,sgkr"]) == 0
         assert capsys.readouterr() == once
         gold = json.loads(Path(GOLD).read_text(encoding="utf-8"))
-        assert calls == {"build_vocabulary": 1, "retrieve": len(gold)}
+        # The first run kept the vocabulary beside the graph document.
+        assert calls == {"build_vocabulary": 0, "retrieve": len(gold)}
 
     @pytest.mark.parametrize("record", [
         {"question": "q", "needed": 5, "unneeded": []},

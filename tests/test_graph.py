@@ -748,6 +748,22 @@ class TestAgainstOracleReader:
                                    reversed(json.loads(document).items())})
             assert deserialize(shuffled) == graph, name
 
+    def test_edges_share_their_ends_id_strings(self, fee_graph, small_workloads):
+        # `json.loads` makes a string per occurrence of a node id; the
+        # reader keeps one per node, its record's, and one per edge type.
+        for name, graph in small_graphs(fee_graph, small_workloads).items():
+            document = serialize(graph)
+            read, expected = deserialize(document), oracle_deserialize(document)
+            assert read == expected, name
+            assert list(read.kc_nodes) == list(expected.kc_nodes), name
+            assert list(read.io_nodes) == list(expected.io_nodes), name
+            ids = {node.node_id: node.node_id for node in
+                   [*read.kc_nodes.values(), *read.io_nodes.values()]}
+            assert all(key is ids[key] for key in [*read.kc_nodes, *read.io_nodes]), name
+            kinds = {CALL: CALL, FEEDS: FEEDS, YIELDS: YIELDS}
+            assert all(ids[edge.src] is edge.src and ids[edge.dst] is edge.dst
+                       and kinds[edge.type] is edge.type for edge in read.edges), name
+
     @pytest.mark.parametrize("text", ["", "][", "[" * 100_000, '{"a": 1', "nan", "\"x\""])
     def test_not_a_document(self, text):
         assert outcome(deserialize, text) == outcome(oracle_deserialize, text)

@@ -17,7 +17,7 @@ from oracles import (
     oracle_simple_paths,
     random_io_graph,
 )
-from sgkr import retriever
+from sgkr import load_corpus, retriever
 from sgkr.context import assemble_context
 from sgkr.errors import UnknownNode
 from sgkr.graph import (
@@ -41,7 +41,7 @@ from sgkr.retriever import (
     retrieve,
     retrieved_kc_names,
 )
-from sgkr.tagger import TagSet, extract_tags
+from sgkr.tagger import TagSet, build_vocabulary, extract_tags, load_aliases
 
 WIDE_LIMITS = RetrievalLimits(max_depth=16, max_paths=10**6)
 
@@ -299,20 +299,37 @@ def hub_graph(entries):
     )
 
 
+def force_filter(monkeypatch, point):
+    """Confine every search to the blocks between its ends from its first
+    expansion when `point` is None; else confine none from the start, and
+    switch the block filter on once `point` scans are passed."""
+    monkeypatch.setattr(retriever, "_confined_at_once", lambda *args: point is None)
+    if point is not None:
+        monkeypatch.setattr(retriever, "_filter_point", lambda index: point)
+
+
 @pytest.fixture()
 def filter_from_start(monkeypatch):
-    """Switch the block filter on before a search's first expansion."""
-    monkeypatch.setattr(retriever, "_filter_point", lambda index: 0)
+    force_filter(monkeypatch, None)
 
 
-# Scans after which the oracle tests switch the block filter on: before
-# the first expansion, or part-way through a level.
+# Scans after which the oracle tests switch the block filter on mid-walk:
+# at the first expansion, or part-way through a level; and None, the
+# search confined from the start.
 SWITCH_POINTS = (0, 1, 5, 40)
+FILTERS = (*SWITCH_POINTS, None)
 
 
 @pytest.fixture()
 def filter_never(monkeypatch):
-    monkeypatch.setattr(retriever, "_filter_point", lambda index: float("inf"))
+    force_filter(monkeypatch, float("inf"))
+
+
+@pytest.fixture()
+def never_at_once(monkeypatch):
+    """No search is confined from the start: a search confines itself only
+    at the filter point."""
+    monkeypatch.setattr(retriever, "_confined_at_once", lambda *args: False)
 
 
 class TestBlockFilter:
@@ -326,8 +343,8 @@ class TestBlockFilter:
         for _ in range(1000):
             graph, sources, targets = random_io_graph(rng)
             expected, truncated = oracle_bfs_paths(graph, sources, targets, max_depth, max_paths)
-            for point in SWITCH_POINTS:
-                monkeypatch.setattr(retriever, "_filter_point", lambda index, point=point: point)
+            for point in FILTERS:
+                force_filter(monkeypatch, point)
                 stats = SearchStats()
                 assert find_paths(graph, sources, targets, limits, stats) == expected
                 assert stats.truncated_by_paths == truncated
@@ -367,15 +384,24 @@ class TestBlockFilter:
         assert [len(path.nodes) for path in expected] == [5, 5, 7, 7]
         monkeypatch.setattr(retriever, "_MAX_SCANS", 5_000)
         with monkeypatch.context() as patch:
-            patch.setattr(retriever, "_filter_point", lambda index: float("inf"))
+            force_filter(patch, float("inf"))
             stats = SearchStats()
             assert find_paths(graph, *ends, stats=stats) == expected
             assert stats.truncated_by_budget
+        # Confined at the filter point, or, as the entry's blocks hold few of
+        # the graph's nodes, from the start.
+        with monkeypatch.context() as patch:
+            patch.setattr(retriever, "_confined_at_once", lambda *args: False)
+            stats = SearchStats()
+            assert find_paths(graph, *ends, stats=stats) == expected
+            assert stats == SearchStats(nodes_expanded=stats.nodes_expanded,
+                                        edges_scanned=stats.edges_scanned, paths_found=4)
+            assert 2 * len(graph.edges) <= stats.edges_scanned < 5_000
         stats = SearchStats()
         assert find_paths(graph, *ends, stats=stats) == expected
         assert stats == SearchStats(nodes_expanded=stats.nodes_expanded,
                                     edges_scanned=stats.edges_scanned, paths_found=4)
-        assert 2 * len(graph.edges) <= stats.edges_scanned < 5_000
+        assert stats.edges_scanned < len(graph.edges)
 
     def test_chain_hanging_off_the_anchor_is_not_a_depth_truncation(self, filter_never):
         # input -> a -> output, and a 20-node call chain hanging off `a`:
@@ -399,10 +425,10 @@ class TestBlockFilter:
         assert not stats.truncated_by_depth
         assert "blocks" in graph.cache
 
-    @pytest.mark.parametrize("filter_point", [*SWITCH_POINTS, None])
+    @pytest.mark.parametrize("filter_point", [*FILTERS, "default"])
     def test_depth_flag_never_misses_a_longer_path(self, monkeypatch, filter_point):
-        if filter_point is not None:
-            monkeypatch.setattr(retriever, "_filter_point", lambda index: filter_point)
+        if filter_point != "default":
+            force_filter(monkeypatch, filter_point)
         rng = random.Random(8503)
         for case in range(1500):
             graph, sources, targets = random_io_graph(rng)
@@ -437,8 +463,8 @@ class TestEndsThatOverlap:
             targets += rng.sample(sources, rng.randint(1, len(sources)))
             expected = sorted(oracle_simple_paths(graph, sources, targets, max_depth),
                               key=lambda nodes: (len(nodes), nodes))[:max_paths]
-            for point in (float("inf"), *SWITCH_POINTS):
-                monkeypatch.setattr(retriever, "_filter_point", lambda index, point=point: point)
+            for point in (float("inf"), *FILTERS):
+                force_filter(monkeypatch, point)
                 got = find_paths(graph, sources, targets, limits)
                 assert [path.nodes for path in got] == expected
 
@@ -461,23 +487,66 @@ class TestSearchWork:
     """Search work is counted in neighbour scans: the block filter
     switches on at twice the edge count, and the budget bounds time."""
 
-    def test_knot_finishes_within_a_few_scans_per_edge(self):
+    def test_knot_finishes_within_a_few_scans_per_edge(self, monkeypatch):
+        # The knot is one block and `a` another, and no block lies between
+        # the ends, which are both `a`: the search is confined from the
+        # start; without that, at the filter point.
         graph = knot_graph(3_000)
         assert len(graph.edges) == 30_048
-        stats = SearchStats()
-        paths = find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats)
-        assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out")]
-        assert not (stats.truncated_by_budget or stats.truncated_by_depth)
-        assert stats.edges_scanned <= 3 * len(graph.edges)
+        for at_once, bound in ((True, 1), (False, 3)):
+            monkeypatch.setattr(retriever, "_confined_at_once", lambda *args: at_once)
+            stats = SearchStats()
+            paths = find_paths(graph, ["io:input:in"], ["io:output:out"], stats=stats)
+            assert [p.nodes for p in paths] == [("io:input:in", "a", "io:output:out")]
+            assert not (stats.truncated_by_budget or stats.truncated_by_depth)
+            assert stats.edges_scanned <= bound * len(graph.edges)
 
-    def test_search_under_the_switch_point_builds_no_blocks(self):
+    def test_single_block_component_is_never_confined(self, monkeypatch, perfbench_gen,
+                                                      tmp_path):
+        decisions = []
+        decide = retriever._confined_at_once
+        monkeypatch.setattr(retriever, "_confined_at_once", lambda *args: (
+            decisions.append(decide(*args)), decisions[-1])[1])
         graph = chain_graph()
         stats = SearchStats()
         assert len(find_paths(graph, ["io:input:start"], ["io:output:end"], stats=stats)) == 1
         assert stats.edges_scanned < 2 * len(graph.edges)
-        assert "blocks" not in graph.cache
+        assert decisions == [False]
+        # A call knot is one block, whichever of its nodes the ends touch.
+        names = [f"k{i}" for i in range(6)]
+        knot = kc_graph(names, list(itertools.combinations(names, 2)),
+                        feeds=["k0", "k3"], yields=["k5"])
+        assert len(retriever.block_tree(knot).members) == 1
+        find_paths(knot, ["io:input:in"], ["io:output:out"])
+        assert decisions == [False, False]
+        # The `query` workload's components are one block each (seed 5, at
+        # the benchmark's own size).
+        data = perfbench_gen.query_workload(random.Random(5), tmp_path)
+        graph = build_graph(load_corpus(data.manifest))
+        vocab = build_vocabulary(graph, load_aliases(data.aliases) if data.aliases else None)
+        tree = retriever.block_tree(graph)
+        assert len(set(tree.roots)) == len(tree.roots)
+        decisions.clear()
+        for question in data.questions:
+            retrieve(graph, extract_tags(question, vocab))
+        assert decisions and not any(decisions)
 
-    def test_filter_switches_on_before_a_budget_below_twice_the_edges(self, monkeypatch):
+    def test_component_of_several_blocks_is_confined(self):
+        # A chain of calls x0 - x1 - ... - x9, each link its own block, is
+        # confined from the start however far apart its ends are; a call
+        # knot beside it, one block, is not, unless the ends reach the
+        # chain too.
+        names = [f"x{i}" for i in range(10)]
+        knot = [f"k{i}" for i in range(4)]
+        calls = list(zip(names, names[1:])) + list(itertools.combinations(knot, 2))
+        for feeds, yields, confined in ((["x0"], ["x3"], True), (["x0"], ["x9"], True),
+                                        (["k0"], ["k3"], False), (["k0", "x4"], ["k3"], True)):
+            graph = kc_graph(names + knot, calls, feeds=feeds, yields=yields)
+            assert len(retriever.block_tree(graph).members) == 10
+            assert retriever._confined_at_once(graph, {*feeds, *yields}) is confined
+
+    def test_filter_switches_on_before_a_budget_below_twice_the_edges(self, monkeypatch,
+                                                                        never_at_once):
         graph = knot_graph(300)
         monkeypatch.setattr(retriever, "_MAX_SCANS", len(graph.edges))
         ends = ["io:input:in"], ["io:output:out"]
@@ -517,7 +586,7 @@ class TestSearchWork:
             graph, sources, targets = random_io_graph(rng, max_kc=6, calls=0.6)
             point = rng.randint(1, 40)
             budget = point + rng.randint(0, 6)
-            monkeypatch.setattr(retriever, "_filter_point", lambda index, point=point: point)
+            force_filter(monkeypatch, point)
             monkeypatch.setattr(retriever, "_MAX_SCANS", budget)
             max_depth, max_paths = [(16, 10**6), (4, 3), (16, 64)][case % 3]
             stats = SearchStats()
@@ -619,12 +688,21 @@ class TestReferenceSets:
 
 class TestBetween:
     """`BlockTree.between` climbs the tree from the marked nodes only; its
-    allowed set is that of the bottom-up rule, which walks every block."""
+    allowed set is that of the bottom-up rule, which walks every block.
+    A search with those ends is confined from the start when a block that
+    holds one of them lies in a component of more than one block."""
 
     @staticmethod
     def check(graph, starts, ends):
         tree = retriever.block_tree(graph)
         assert tree.between(starts, ends) == oracle_between(tree.members, tree.roots, starts, ends)
+        # The decision: some block that holds a marked node lies in a
+        # component of more than one block.
+        marked = starts | ends
+        split = {root for root in tree.roots if tree.roots.count(root) > 1}
+        assert retriever._confined_at_once(graph, marked) == any(
+            root in split for block, root in zip(tree.members, tree.roots)
+            if not marked.isdisjoint(block))
 
     @pytest.mark.parametrize("max_kc, calls", [(8, 0.25), (30, 0.06), (30, 0.15)])
     def test_random_marks_on_random_graphs(self, max_kc, calls):

@@ -3,11 +3,14 @@
 Every command prints the same on a miss, on a hit and with the document
 read the way the CLI read it before there was a sidecar; a hit runs none
 of the builders; and a section that is missing, damaged, of the wrong
-shape or not trusted is rebuilt from the document without a message.
+shape or not trusted is rebuilt from the document without a message. The
+vocabulary and vector sections are keyed by the alias or vector file too:
+a changed file is a miss, and a file the command refuses is never kept.
 """
 
 from __future__ import annotations
 
+import json
 import marshal
 import os
 import subprocess
@@ -25,7 +28,7 @@ from sgkr.corpus import read_text
 from sgkr.errors import MissingFile, NotUtf8
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SECTIONS = ("graph", "traversal", "blocks", "lexical")
+SECTIONS = ("graph", "traversal", "blocks", "lexical", "vocabulary", "vectors")
 
 
 class Inputs(NamedTuple):
@@ -131,6 +134,8 @@ class Builders:
             patch.setattr(owner, "build", classmethod(self._counted(section, owner.build.__func__)))
         self._wrap(patch, baselines.LexicalRanker, "__init__", "lexical",
                    baselines.LexicalRanker.__init__)
+        self._wrap(patch, tagger, "build_vocabulary", "vocabulary", tagger.build_vocabulary)
+        self._wrap(patch, baselines, "parse_vectors", "vectors", baselines.parse_vectors)
 
     def _counted(self, section, function):
         def counted(*args, **kwargs):
@@ -151,13 +156,6 @@ def builders(monkeypatch) -> Builders:
     return Builders(monkeypatch)
 
 
-@pytest.fixture()
-def filter_from_start(monkeypatch):
-    """Every search switches the block filter on, so `eval` asks for the
-    block tree."""
-    monkeypatch.setattr(retriever, "_filter_point", lambda index: 0)
-
-
 class TestOutputs:
     @pytest.mark.parametrize("corpus", ["fee", "small_cli"])
     def test_hit_miss_and_without_sidecar_agree(self, corpus, request, capsys, builders):
@@ -173,7 +171,7 @@ class TestOutputs:
             assert run(argv, capsys) == expected  # a hit
             assert builders.take() == dict.fromkeys(SECTIONS, 0)
 
-    def test_a_hit_runs_no_builder(self, small_cli, capsys, builders, filter_from_start):
+    def test_a_hit_runs_no_builder(self, small_cli, capsys, builders):
         argv = eval_argv(small_cli)
         expected = without_sidecar(argv, capsys)
         builders.take()
@@ -184,8 +182,7 @@ class TestOutputs:
         assert run(argv, capsys) == expected
         assert builders.take() == dict.fromkeys(SECTIONS, 0)
 
-    def test_query_never_opens_the_lexical_section(self, fee, capsys, monkeypatch,
-                                                   filter_from_start):
+    def test_query_never_opens_the_lexical_section(self, fee, capsys, monkeypatch):
         opened = []
         real_open = os.open
         monkeypatch.setattr(os, "open", lambda path, *args, **kwargs: (
@@ -197,7 +194,8 @@ class TestOutputs:
         opened.clear()
         expected = without_sidecar(query_argv(fee), capsys)
         assert run(query_argv(fee), capsys) == expected
-        assert opened == ["graph.json.graph", "graph.json.traversal", "graph.json.blocks"]
+        assert opened == ["graph.json.graph", "graph.json.vocabulary", "graph.json.traversal",
+                          "graph.json.blocks"]
 
     def test_loaded_graph_equals_the_deserialized_one(self, small_cli):
         text = small_cli.document.read_text(encoding="utf-8")
@@ -208,6 +206,11 @@ class TestOutputs:
             assert list(loaded.kc_nodes) == list(expected.kc_nodes)
             assert list(loaded.io_nodes) == list(expected.io_nodes)
             assert graphmod.serialize(loaded) == text
+            # The edges hold their ends' own id strings, parsed or thawed.
+            ids = {node.node_id: node.node_id for node in
+                   [*loaded.kc_nodes.values(), *loaded.io_nodes.values()]}
+            assert all(ids[edge.src] is edge.src and ids[edge.dst] is edge.dst
+                       for edge in loaded.edges)
         assert expected.sidecar is None
 
     def test_changed_document_is_read_again(self, fee, capsys):
@@ -236,7 +239,78 @@ class TestOutputs:
             assert retriever.retrieve(graph, tagger.extract_tags(FEE_QUESTION, fee_vocab)).paths
             retriever.block_tree(graph)
             baselines.lexical_ranker(graph)
+            vocab = tagger.build_vocabulary(graph, tagger.load_aliases(fee.aliases))
+            assert vocab.inputs == fee_vocab.inputs
+            store = baselines.load_vectors(fee.vectors)
+            baselines.retrieve_topk(FEE_QUESTION, graph, 3, scorer="vectors", vectors=store)
         assert not cache_dir(fee).exists()
+
+
+class TestFileSections:
+    """The vocabulary and the vector store are kept under a key that covers
+    the alias or vector file as well as the document."""
+
+    def test_changed_file_is_a_miss(self, fee, tmp_path, capsys, builders):
+        aliases, vectors = tmp_path / "aliases.json", tmp_path / "vectors.txt"
+        aliases.write_bytes(Path(fee.aliases).read_bytes())
+        vectors.write_bytes(Path(fee.vectors).read_bytes())
+        inputs = fee._replace(aliases=str(aliases), vectors=str(vectors))
+        argv = eval_argv(inputs)
+        assert run(argv, capsys) == without_sidecar(argv, capsys)
+        alias_map = json.loads(aliases.read_text(encoding="utf-8"))
+        alias, target = next(iter(alias_map.items()))
+        alias_map[alias + " extra"] = target
+        lines = vectors.read_text(encoding="utf-8").splitlines()
+        name, _, values = lines[1].partition("\t")
+        lines[1] = name + "\t" + " ".join(["0.5"] * len(values.split()))
+        for changed in ("vocabulary", "vectors"):
+            if changed == "vocabulary":
+                aliases.write_text(json.dumps(alias_map), encoding="utf-8")
+            else:
+                vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            expected = without_sidecar(argv, capsys)
+            builders.take()
+            assert run(argv, capsys) == expected
+            assert builders.take() == {name: int(name == changed) for name in SECTIONS}
+            assert run(argv, capsys) == expected
+            assert builders.take() == dict.fromkeys(SECTIONS, 0)
+
+    def test_no_alias_file_and_one_of_the_same_labels(self, fee, tmp_path, capsys, builders):
+        empty = tmp_path / "aliases.json"
+        empty.write_text("{}", encoding="utf-8")
+        plain = ["query", "--graph", str(fee.document), "--question", fee.question]
+        with_file = [*plain, "--aliases", str(empty)]
+        expected = without_sidecar(plain, capsys)
+        assert expected == without_sidecar(with_file, capsys)
+        # One vocabulary section, kept under the key of the last run's file.
+        for argv, built in ((plain, 1), (plain, 0), (with_file, 1), (with_file, 0), (plain, 1)):
+            builders.take()
+            assert run(argv, capsys) == expected
+            assert builders.take()["vocabulary"] == built
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--aliases", None, "alias file not found: {path}"),
+        ("--aliases", b"{\xff}", "{path}: not UTF-8 (invalid start byte at byte 1)"),
+        ("--aliases", b"{", "alias file {path} is not valid JSON: Expecting property name "
+                            "enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("--aliases", b'{"card": {"label": "no such label", "kind": "input"}}',
+         "alias 'card' targets unknown input label 'no such label'"),
+        ("--vectors", None, "vector file not found: {path}"),
+        ("--vectors", b"2\nq\t0.5 \xff", "{path}: not UTF-8 (invalid start byte at byte 8)"),
+        ("--vectors", b"2\nq\t0.5", "line 2: 'q' has 1 components, expected 2"),
+    ])
+    def test_refused_file_errors_every_time(self, fee, tmp_path, capsys, flag, text, message):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_bytes(text)
+        argv = eval_argv(fee)
+        argv[argv.index(flag) + 1] = str(path)
+        expected = (1, "", f"error: {message.format(path=path)}\n")
+        assert without_sidecar(argv, capsys) == expected
+        for _ in range(2):
+            assert run(argv, capsys) == expected
+        section = "vocabulary" if flag == "--aliases" else "vectors"
+        assert not section_path(fee, section).exists()
 
 
 def truncated(path: Path, key: bytes) -> None:
@@ -294,10 +368,38 @@ def wrong_shapes(section: str, payload: object) -> list[object]:
         members, roots, parent = payload
         shapes += [(members, roots), (members, roots, {node: str(i) for node, i in parent.items()}),
                    (list(members), roots, parent), (members, roots + ("x",), parent)]
-    else:
+    elif section == "lexical":
         names, postings, norms, idf = payload
         shapes += [(tuple(names), postings, norms, idf), (names, list(postings), norms, idf),
                    (names, postings, norms)]
+    elif section == "vocabulary":
+        inputs, outputs, (input_tables, output_tables) = payload
+        (width, table), *narrower = input_tables
+        assert narrower  # so that the reordered tables are out of order
+        label = next(iter(table.values()))
+        shapes += [(inputs, outputs), (inputs, outputs, input_tables),
+                   ({**inputs, label: [label]}, outputs, (input_tables, output_tables)),
+                   ({**inputs, label: (label, 5)}, outputs, (input_tables, output_tables)),
+                   (inputs, outputs, (input_tables, [*output_tables])),
+                   (inputs, outputs, ((*narrower, (width, table)), output_tables)),
+                   (inputs, outputs, (((width, table), (width, table)), output_tables)),
+                   (inputs, outputs, (((0, {(): label}),), output_tables)),
+                   (inputs, outputs, (((width, {**table, ("x",) * (width + 1): label}),
+                                       *narrower), output_tables)),
+                   (inputs, outputs, (((width, {**table, (5,) * width: label}), *narrower),
+                                      output_tables)),
+                   (inputs, outputs, (((width, {**table, ("x",) * width: 5}), *narrower),
+                                      output_tables)),
+                   (inputs, outputs, (((str(width), table), *narrower), output_tables))]
+    else:
+        dimension, vectors, norms = payload
+        name = next(iter(vectors))
+        shapes += [(str(dimension), vectors, norms), (dimension + 1, vectors, norms),
+                   (dimension, vectors, {**norms, "stray": 1.0}),
+                   (dimension, vectors, {**norms, name: 1}),
+                   (dimension, {**vectors, name: list(vectors[name])}, norms),
+                   (dimension, {**vectors, name: (1,) * dimension}, norms),
+                   (dimension, vectors)]
     return shapes
 
 
@@ -306,7 +408,7 @@ class TestUntrustedSections:
     from the document."""
 
     @pytest.fixture()
-    def made(self, fee, capsys, filter_from_start):
+    def made(self, fee, capsys):
         """The fee document with every section written, the eval output
         with no sidecar, and the key."""
         argv = eval_argv(fee)
@@ -353,7 +455,7 @@ class TestUntrustedSections:
         assert run(argv, capsys) == expected
         assert builders.take() == dict.fromkeys(SECTIONS, 1)
 
-    def test_cache_path_that_cannot_be_made(self, fee, capsys, builders, filter_from_start):
+    def test_cache_path_that_cannot_be_made(self, fee, capsys, builders):
         cache_dir(fee).write_text("in the way")
         argv = eval_argv(fee)
         expected = without_sidecar(argv, capsys)
